@@ -8,8 +8,10 @@ quadrature.evaluate_integral_direct obtains by direct integration:
 
 for the chi/xi families below, plus the generating-function integrals
 (raw, without the beta normalization).  The inner engine is always a
-3-by-2 Wright series with weight pattern (1,1,1; 2, lam), evaluated fresh
-for every outer summation index under the caller's series policy.
+3-by-2 Wright series with weight pattern (1,1,1; 2, lam).  The closed forms
+evaluate it for blocks of outer indices at once, as log-space tables that
+stop each row by the caller's series policy (_InnerTable); rows the table
+cannot settle, and T4's single value, go through the scalar engine.
 
 On a general interval the linear-weight family (T3) picks up the factors
 (b-a)^(alpha+beta-1) and (a*u+v)^gamma, and the series argument becomes
@@ -19,9 +21,12 @@ and degenerate to no-ops on (0, 1).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import DomainError
 from .multivar import _DoublePochStream, _PochPowerStream, _convolve_at
@@ -195,18 +200,91 @@ def tn_spec(alpha, beta, alphas, xs, lam, p) -> EulerIntegralSpec:
 # ---------------------------------------------------------------------------
 
 
-def _psi_hat(a1: float, b1: float, c1: float, lam: float, p: complex,
-             policy: SeriesPolicy) -> complex:
-    """Normalized 3-by-2 Wright value with the (1,1,1; 2,lam) weight pattern."""
-    spec = WrightSpec(((a1, 1.0), (b1, 1.0), (1.0, 1.0)), ((c1, 2.0), (1.0, lam)))
-    return wright_psi_normalized(spec, p, policy).value
+# Table rows that do not stop within this many terms go to the scalar
+# engine; it stays below index 50, where the engine's divergence guard starts.
+_ROW_TERMS = 48
+# Consecutive outer indices tabulated together along a ladder.
+_LADDER_BLOCK = 48
 
 
-def _psi_raw(a1: float, b1: float, c1: float, lam: float, p: complex,
-             policy: SeriesPolicy) -> complex:
-    """Un-normalized counterpart of _psi_hat."""
-    spec = WrightSpec(((a1, 1.0), (b1, 1.0), (1.0, 1.0)), ((c1, 2.0), (1.0, lam)))
-    return wright_psi(spec, p, policy).value
+class _InnerTable:
+    """Inner Wright values of rows (a, b, c) that share lam and p.
+
+    A row is the (1,1,1; 2,lam) series sum_k (a)_k (b)_k p^k / ((c)_{2k}
+    Gamma(1 + lam k)): the normalized inner value, or with raw=True that
+    value times Gamma(a)Gamma(b)/Gamma(c), added as a log shift before exp.
+    Blocks of rows are tabulated in log space: the Pochhammer ratio is a
+    cumulative sum of logs along k, and the column term k ln|p| -
+    ln Gamma(1 + lam k) is computed once per table.  Each row stops by the
+    rule of sum_with_policy.  A row with a nonpositive parameter, a
+    non-finite partial sum or no stop within _ROW_TERMS terms is evaluated
+    by the scalar engine when the caller reaches it, so that engine raises
+    every pole, divergence and term-budget error.
+    """
+
+    def __init__(self, lam: float, p: complex, policy: SeriesPolicy, raw: bool = False):
+        self.lam = lam
+        self.p = p
+        self.policy = policy
+        self.raw = raw
+        terms = min(_ROW_TERMS, policy.max_terms)
+        self._j = np.arange(terms - 1.0)
+        self._column = np.array([-math.lgamma(1.0 + lam * k) for k in range(terms)])
+        radius = abs(p)
+        unit = p / radius if radius > 0.0 else 0.0j
+        if unit.imag == 0.0:
+            unit = unit.real  # a real table costs about half a complex one
+        # unit^k by repeated products, as the scalar engine forms it
+        self._phase = np.ones(terms, dtype=type(unit))
+        if radius > 0.0:
+            self._column += np.arange(terms) * math.log(radius)
+            self._phase[1:] = np.cumprod(np.full(terms - 1, unit))
+        else:
+            self._column[1:] = -math.inf
+
+    def rows(self, a, b, c) -> Iterator[SeriesResult]:
+        """Yield the value of each row in order; a, b, c broadcast to one length."""
+        params = np.array(np.broadcast_arrays(a, b, c), dtype=float)
+        good = (params > 0.0).all(axis=0)
+        sa, sb, sc = np.where(good, params, 1.0)[:, :, None]
+        j = self._j
+        log_term = np.zeros((len(good), len(j) + 1))
+        policy = self.policy
+        need = policy.consecutive_small
+        # Overflow and invalid values end as a non-finite partial sum, which
+        # sends the row to the scalar engine.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # ln((a)_k (b)_k / (c)_{2k}) as a cumulative sum of one log per step
+            np.cumsum(np.log((sa + j) * (sb + j) / ((sc + 2.0 * j) * (sc + (2.0 * j + 1.0)))),
+                      axis=1, out=log_term[:, 1:])
+            log_term += self._column
+            if self.raw:
+                log_term += np.array([math.lgamma(x) + math.lgamma(y) - math.lgamma(z)
+                                      for x, y, z in zip(sa[:, 0], sb[:, 0], sc[:, 0])])[:, None]
+            term = np.exp(log_term) * self._phase
+            partial = np.cumsum(term, axis=1)
+            mag = np.abs(term)
+            small = np.cumsum(mag <= policy.rel_tol * np.abs(partial) + policy.abs_tol, axis=1)
+        small[:, need:] -= small[:, :-need]  # small terms among the last `need`
+        stop = (small >= need).argmax(axis=1)
+        index = np.arange(len(good))
+        value = partial[index, stop].astype(complex)
+        # A non-finite term anywhere up to the stop leaves the partial sum non-finite.
+        good &= (small[index, stop] >= need) & np.isfinite(value)
+        tails = (need * mag[index, stop]).tolist()
+        for i, (v, k) in enumerate(zip(value.tolist(), stop.tolist())):
+            if good[i]:
+                yield SeriesResult(v, k + 1, tails[i])
+            else:
+                a, b, c = params[:, i]
+                spec = WrightSpec(((a, 1.0), (b, 1.0), (1.0, 1.0)), ((c, 2.0), (1.0, self.lam)))
+                yield (wright_psi if self.raw else wright_psi_normalized)(spec, self.p, policy)
+
+    def ladder(self, start: tuple, step: tuple) -> Iterator[SeriesResult]:
+        """Rows start + d * step for d = 0, 1, ..., tabulated a block of d at a time."""
+        for first in itertools.count(0, _LADDER_BLOCK):
+            d = np.arange(first, first + _LADDER_BLOCK, dtype=float)
+            yield from self.rows(*(x + dx * d for x, dx in zip(start, step)))
 
 
 def _validate_common(alpha: float, beta: float, lam: float):
@@ -227,7 +305,8 @@ def closed_form_theorem1(alpha: float, beta: float, alpha1: float, alpha2: float
     """Series value of the T1 integral, summed by diagonals m + n = d.
 
     The inner Wright factor depends only on the diagonal index, so each
-    diagonal is a binomial-style convolution times one fresh inner value.
+    diagonal is a binomial-style convolution times one inner value, taken
+    from a ladder of inner rows tabulated a block of diagonals at a time.
     At p = 0 this collapses to the F1 double series.
     """
     policy = policy or SeriesPolicy()
@@ -237,6 +316,7 @@ def closed_form_theorem1(alpha: float, beta: float, alpha1: float, alpha2: float
     p = complex(p)
     fx = _PochPowerStream(alpha1, x1)
     gy = _PochPowerStream(alpha2, x2)
+    inner = _InnerTable(lam, p, policy).ladder((alpha, beta, alpha + beta), (1.0, 0.0, 1.0))
 
     def diagonals():
         ratio = 1.0  # (alpha)_d / (alpha+beta)_d
@@ -245,7 +325,7 @@ def closed_form_theorem1(alpha: float, beta: float, alpha1: float, alpha2: float
             fx.extend_to(d)
             gy.extend_to(d)
             conv = _convolve_at(fx.values, gy.values, d)
-            yield ratio * conv * _psi_hat(alpha + d, beta, alpha + beta + d, lam, p, policy)
+            yield ratio * conv * next(inner).value
             ratio *= (alpha + d) / (alpha + beta + d)
             d += 1
 
@@ -258,8 +338,8 @@ def closed_form_theorem2(alpha: float, beta: float, alpha1: float, alpha2: float
     """Series value of the T2 integral.
 
     Here the inner Wright parameters shift with m and n separately, so each
-    diagonal costs d + 1 inner evaluations.  At p = 0 this collapses to the
-    F3 double series.
+    diagonal needs d + 1 inner values, tabulated as one block of rows.  At
+    p = 0 this collapses to the F3 double series.
     """
     policy = policy or SeriesPolicy()
     _validate_common(alpha, beta, lam)
@@ -268,6 +348,7 @@ def closed_form_theorem2(alpha: float, beta: float, alpha1: float, alpha2: float
     p = complex(p)
     fx = _DoublePochStream(alpha, alpha1, x1)
     gy = _DoublePochStream(beta, alpha2, x2)
+    inner = _InnerTable(lam, p, policy)
 
     def diagonals():
         inv = 1.0  # 1 / (alpha+beta)_d
@@ -275,11 +356,11 @@ def closed_form_theorem2(alpha: float, beta: float, alpha1: float, alpha2: float
         while True:
             fx.extend_to(d)
             gy.extend_to(d)
+            m = np.arange(d + 1.0)
+            rows = inner.rows(alpha + m, beta + (d - m), alpha + beta + d)
             total = 0.0 + 0.0j
-            for m in range(d + 1):
-                n = d - m
-                total += (fx.values[m] * gy.values[n]
-                          * _psi_hat(alpha + m, beta + n, alpha + beta + d, lam, p, policy))
+            for m, row in enumerate(rows):
+                total += fx.values[m] * gy.values[d - m] * row.value
             yield inv * total
             inv /= alpha + beta + d
             d += 1
@@ -308,16 +389,17 @@ def closed_form_theorem3(alpha: float, beta: float, gamma: float, a: float, b: f
     prefactor = auv ** gamma * width ** (alpha + beta - 1.0)
     argument = p * width * width
     w = -u * width / auv
+    inner = _InnerTable(lam, argument, policy).ladder((alpha, beta, alpha + beta),
+                                                      (1.0, 0.0, 1.0))
 
     def terms():
         coeff = 1.0
         m = 0
         while True:
             if coeff == 0.0:
-                yield 0.0 + 0.0j
+                yield 0.0 + 0.0j  # stays zero: the ladder is never reached again
             else:
-                yield (prefactor * coeff
-                       * _psi_hat(alpha + m, beta, alpha + beta + m, lam, argument, policy))
+                yield prefactor * coeff * next(inner).value
             coeff *= (-gamma + m) * (alpha + m) * w / ((alpha + beta + m) * (m + 1.0))
             m += 1
 
@@ -375,12 +457,13 @@ def closed_form_lauricella(alpha: float, beta: float, alphas: Sequence[float],
             prev = partial[i - 1]
         return prev[d]
 
+    inner = _InnerTable(lam, p, policy).ladder((alpha, beta, alpha + beta), (1.0, 0.0, 1.0))
+
     def degrees():
         ratio = 1.0
         d = 0
         while True:
-            yield (ratio * product_coeff(d)
-                   * _psi_hat(alpha + d, beta, alpha + beta + d, lam, p, policy))
+            yield ratio * product_coeff(d) * next(inner).value
             ratio *= (alpha + d) / (alpha + beta + d)
             d += 1
 
@@ -575,13 +658,14 @@ def generating_integral_closed_form(gen, r: float, s: float, delta: float, omega
             raise DomainError("product factors need |x_i| < 1")
 
     if not factors:
+        inner = _InnerTable(lam, p, policy, raw=True).ladder((r, s - r, s),
+                                                             (delta, omega, delta + omega))
+
         def terms():
             n = 0
             tn = 1.0 + 0.0j
             while True:
-                yield (gen.coefficient(n) * tn
-                       * _psi_raw(r + delta * n, s - r + omega * n,
-                                  s + (delta + omega) * n, lam, p, policy))
+                yield gen.coefficient(n) * tn * next(inner).value
                 tn *= t
                 n += 1
 
@@ -601,18 +685,19 @@ def generating_integral_closed_form(gen, r: float, s: float, delta: float, omega
         return prev[m]
 
     t_powers = [1.0 + 0.0j]
+    inner = _InnerTable(lam, p, policy, raw=True)
 
     def degree_terms():
         d = 0
         while True:
             while len(t_powers) <= d:
                 t_powers.append(t_powers[-1] * t)
+            n = np.arange(d + 1.0)
+            rows = inner.rows(r + delta * n + (d - n), s - r + omega * n,
+                              s + (delta + omega) * n + (d - n))
             total = 0.0 + 0.0j
-            for n in range(d + 1):
-                m = d - n
-                total += (gen.coefficient(n) * t_powers[n] * factor_coeff(m)
-                          * _psi_raw(r + delta * n + m, s - r + omega * n,
-                                     s + (delta + omega) * n + m, lam, p, policy))
+            for n, row in enumerate(rows):
+                total += gen.coefficient(n) * t_powers[n] * factor_coeff(d - n) * row.value
             yield total
             d += 1
 

@@ -174,14 +174,18 @@ def _ml_values(lam: float, w: np.ndarray) -> np.ndarray:
     total = np.ones_like(w, dtype=complex)
     power = np.ones_like(w, dtype=complex)
     scale = 1.0
-    for n in range(1, 2000):
-        power = power * w
-        coeff = math.exp(-log_gamma(lam * n + 1.0))
-        total = total + power * coeff
-        peak = np.max(np.abs(power)) * coeff
-        scale = max(scale, float(np.max(np.abs(total))))
-        if peak <= 1e-17 * scale:
-            return total
+    # An overflowing power shows up as a non-finite peak in the same pass.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, 2000):
+            power = power * w
+            coeff = math.exp(-log_gamma(lam * n + 1.0))
+            total = total + power * coeff
+            peak = np.max(np.abs(power)) * coeff
+            if not math.isfinite(peak):
+                raise EvaluationError(f"node Mittag-Leffler series overflowed at n={n}")
+            scale = max(scale, float(np.max(np.abs(total))))
+            if peak <= 1e-17 * scale:
+                return total
     raise EvaluationError("Mittag-Leffler node series did not converge")
 
 

@@ -2,9 +2,9 @@
 
 Every series coefficient in the package is assembled from signed log-gamma
 values, so these functions are the accuracy floor for everything else.
-Gamma uses the Lanczos approximation (g = 7, 9-term coefficient set) with
-the reflection formula for negative arguments, good for ~14 significant
-digits over the range exercised here.
+Log-gamma is the C library's ``lgamma`` (through ``math.lgamma``), which
+returns ln|Gamma(x)| on both sides of zero; the sign for negative x comes
+from sin(pi x) by the reflection formula.
 """
 
 from __future__ import annotations
@@ -22,45 +22,12 @@ __all__ = [
     "beta_fn",
 ]
 
-# Lanczos g=7 coefficients.
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-_LOG_PI = math.log(math.pi)
-
 # exp() overflows above this, so gamma_fn cannot represent the result.
 _MAX_LOG = 709.782712893384
 
 
 def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
-
-
-def _lanczos_log_gamma(x: float) -> float:
-    # Valid for x >= 0.5.
-    y = x - 1.0
-    a = (
-        _LANCZOS[0]
-        + _LANCZOS[1] / (y + 1.0)
-        + _LANCZOS[2] / (y + 2.0)
-        + _LANCZOS[3] / (y + 3.0)
-        + _LANCZOS[4] / (y + 4.0)
-        + _LANCZOS[5] / (y + 5.0)
-        + _LANCZOS[6] / (y + 6.0)
-        + _LANCZOS[7] / (y + 7.0)
-        + _LANCZOS[8] / (y + 8.0)
-    )
-    t = y + 7.5
-    return _HALF_LOG_TWO_PI + (y + 0.5) * math.log(t) - t + math.log(a)
 
 
 def _sin_pi(x: float) -> float:
@@ -79,13 +46,10 @@ def log_gamma_signed(x: float) -> tuple[float, int]:
     """
     if _is_nonpositive_integer(x):
         raise PoleError(f"gamma pole at x={x!r}")
-    if x == 1.0 or x == 2.0:
-        return 0.0, 1  # exact zeros, keeps k = 0 series terms exact
-    if x >= 0.5:
-        return _lanczos_log_gamma(x), 1
-    s = _sin_pi(x)
-    value = _LOG_PI - math.log(abs(s)) - _lanczos_log_gamma(1.0 - x)
-    return value, (1 if s > 0.0 else -1)
+    value = math.lgamma(x)
+    if x > 0.0:
+        return value, 1
+    return value, (1 if _sin_pi(x) > 0.0 else -1)
 
 
 def log_gamma(x: float) -> float:

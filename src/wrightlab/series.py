@@ -1,9 +1,10 @@
 """Truncated series engine: Wright functions, pFq and Mittag-Leffler.
 
 All summation follows one explicit policy: ascending term index, each term
-assembled from signed log-gamma products (never by coefficient recurrence),
-a consecutive-small-terms stopping rule, and an operational divergence
-guard.  Identical inputs always consume an identical number of terms.
+assembled in log space from signed log-gamma products (the inner row tables
+of identities.py use log-space cumulative sums), a consecutive-small-terms
+stopping rule, and an operational divergence guard.  Identical inputs
+always consume an identical number of terms.
 """
 
 from __future__ import annotations

@@ -106,9 +106,10 @@ class GridConfig:
                     raise ConfigError(f"grids: unknown case {name!r}")
                 if not isinstance(grid, dict):
                     raise ConfigError(f"grids[{name!r}] must be an object")
-                for pname in grid:
+                for pname, values in grid.items():
                     if pname not in FAMILIES[name].param_names:
                         raise ConfigError(f"grids[{name!r}]: unknown parameter {pname!r}")
+                    _check_grid_values(name, pname, values)
             cfg.grids = raw["grids"]
         if "jobs" in raw:
             if not isinstance(raw["jobs"], int) or raw["jobs"] < 1:
@@ -128,6 +129,31 @@ class GridConfig:
 
 
 _COMPLEX_PARAMS = {"p", "t", "z"}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_grid_values(family: str, name: str, values):
+    """Grid values are numbers; [re, im] pairs for p/t/z; lists of numbers for
+    the list-valued parameters (alphas, xs)."""
+    vector = isinstance(FAMILIES[family].defaults[name][0], list)
+    if vector:
+        what = "a list of numbers"
+    elif name in _COMPLEX_PARAMS:
+        what = "a number or an [re, im] pair"
+    else:
+        what = "a number"
+    for value in values if isinstance(values, list) else [values]:
+        if _is_number(value):
+            ok = not vector
+        elif isinstance(value, list) and all(_is_number(x) for x in value):
+            ok = vector or (name in _COMPLEX_PARAMS and len(value) == 2)
+        else:
+            ok = False
+        if not ok:
+            raise ConfigError(f"grids[{family!r}][{name!r}]: value {value!r} is not {what}")
 
 
 def _decode_value(name, value):

@@ -1,0 +1,117 @@
+"""Inner Wright row tables against the scalar engine, and the log-gamma kernel
+against a 30-digit reference."""
+
+import math
+import random
+
+import pytest
+
+from wrightlab import (
+    DivergenceError,
+    MaxTermsError,
+    PoleError,
+    SeriesPolicy,
+    WrightSpec,
+    closed_form_theorem1,
+    wright_psi,
+    wright_psi_normalized,
+)
+from wrightlab.identities import _InnerTable
+from wrightlab.scalars import log_gamma_signed
+
+LAMBDAS = (0.0, 0.5, 1.0, 2.3)
+
+
+def rel(a, b):
+    return abs(a - b) / max(abs(b), 1e-300)
+
+
+def scalar_row(a, b, c, lam, p, raw=False, policy=None):
+    spec = WrightSpec(((a, 1.0), (b, 1.0), (1.0, 1.0)), ((c, 2.0), (1.0, lam)))
+    return (wright_psi if raw else wright_psi_normalized)(spec, p, policy)
+
+
+def draw_p(rng, kind, lam):
+    # lam = 0 is the geometric-type series (p/4)^k, convergent for |p| < 4
+    radius = 3.0 if lam == 0.0 else 1.5
+    if kind == "zero":
+        return 0.0j
+    if kind == "real":
+        return complex(rng.uniform(-radius, radius))
+    return complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius)) / math.sqrt(2.0)
+
+
+@pytest.mark.parametrize("raw", [False, True], ids=["normalized", "raw"])
+@pytest.mark.parametrize("kind", ["real", "complex", "zero"])
+@pytest.mark.parametrize("lam", LAMBDAS)
+def test_rows_match_scalar_engine(lam, kind, raw):
+    # Rows shaped as the closed forms build them: c = a + b.
+    rng = random.Random(f"{lam}/{kind}/{raw}")
+    policy = SeriesPolicy()
+    for _ in range(6):
+        p = draw_p(rng, kind, lam)
+        a = [rng.uniform(0.3, 20.0) for _ in range(10)]
+        b = [rng.uniform(0.3, 3.0) for _ in range(10)]
+        c = [x + y for x, y in zip(a, b)]
+        rows = list(_InnerTable(lam, p, policy, raw).rows(a, b, c))
+        assert len(rows) == len(a)
+        for row, x, y, z in zip(rows, a, b, c):
+            ref = scalar_row(x, y, z, lam, p, raw)
+            assert rel(row.value, ref.value) <= 1e-14
+            assert row.terms_used == ref.terms_used
+            assert row.tail_estimate == pytest.approx(ref.tail_estimate, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("p", [0.8, -0.8, 0.5 + 0.5j, 0.0])
+def test_ladder_crosses_block_boundaries(p):
+    policy = SeriesPolicy()
+    ladder = _InnerTable(1.0, p, policy).ladder((1.2, 0.8, 2.0), (1.0, 0.0, 1.0))
+    for d in range(110):
+        row = next(ladder)
+        ref = scalar_row(1.2 + d, 0.8, 2.0 + d, 1.0, p)
+        assert rel(row.value, ref.value) <= 1e-14
+        assert row.terms_used == ref.terms_used
+
+
+def test_rows_with_nonpositive_parameters_use_the_scalar_engine():
+    # The pole row raises only when reached, not when the block is tabulated.
+    policy = SeriesPolicy()
+    rows = _InnerTable(0.5, 0.7, policy).rows([1.2, -0.5, -1.0], [0.8, 0.8, 0.8],
+                                              [2.0, 0.3, 2.0])
+    assert rel(next(rows).value, scalar_row(1.2, 0.8, 2.0, 0.5, 0.7).value) <= 1e-14
+    assert next(rows) == scalar_row(-0.5, 0.8, 0.3, 0.5, 0.7)  # the scalar engine's own result
+    with pytest.raises(PoleError):
+        next(rows)
+
+
+def test_lambda_zero_outside_the_disc_still_diverges():
+    rows = _InnerTable(0.0, 4.5, SeriesPolicy()).rows([1.2], [0.8], [2.0])
+    with pytest.raises(DivergenceError):
+        next(rows)
+    with pytest.raises(DivergenceError):
+        closed_form_theorem1(1.2, 0.8, 0.5, 0.9, 0.3, -0.25, 0.0, 4.5)
+
+
+def test_term_budget_still_caps_every_row(monkeypatch):
+    monkeypatch.setenv("WRIGHTLAB_MAX_TERMS", "5")
+    policy = SeriesPolicy.from_env()
+    rows = _InnerTable(1.0, 0.8, policy).rows([1.2], [0.8], [2.0])
+    with pytest.raises(MaxTermsError):
+        next(rows)
+    with pytest.raises(MaxTermsError):
+        closed_form_theorem1(1.2, 0.8, 0.5, 0.9, 0.0, 0.0, 1.0, 0.8, policy)
+
+
+def test_log_gamma_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(7)
+    xs = [rng.uniform(-20.0, 60.0) for _ in range(3000)]
+    xs += [k + 0.5 for k in range(-20, 60)] + [1e-3, -1e-3, 1.0, 2.0, -19.999]
+    with mp.workdps(30):
+        for x in xs:
+            value, sign = log_gamma_signed(x)
+            exact = mp.gamma(mp.mpf(x))
+            reference = mp.log(abs(exact))
+            # absolute error of ln|Gamma| is the relative error of Gamma itself
+            assert abs(value - reference) <= 4e-15 * max(1.0, abs(reference)), x
+            assert sign == (1 if exact > 0 else -1), x

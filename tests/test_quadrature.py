@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from wrightlab import (
     beta_fn,
     evaluate_integral_direct,
     hyper_pfq,
+    t1_spec,
     t3_spec,
     t4_spec,
     tanh_sinh_integrate,
@@ -161,3 +163,14 @@ def test_quadrature_policy_validation():
         QuadraturePolicy(target_abs_tol=0.0)
     with pytest.raises(ValueError):
         QuadraturePolicy(max_levels=1, min_levels=3)
+
+
+def test_node_series_overflow_is_a_typed_error_without_warnings():
+    # E_{1/2} at p*xi down to -10: the node powers overflow before the
+    # series settles, which must surface as an EvaluationError, not as
+    # numpy overflow warnings followed by a non-finite integrand.
+    spec = t1_spec(1.2, 0.8, 0.5, 0.9, 0.3, -0.25, 0.5, -40.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match="overflowed at n="):
+            evaluate_integral_direct(spec)

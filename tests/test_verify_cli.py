@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -168,6 +169,31 @@ class TestCli:
         assert main(["verify", "--config", str(cfg_path), "--out",
                      str(tmp_path / "r.json")]) == 1
         assert "unknown parameter" in capsys.readouterr().err
+
+    def test_verify_non_numeric_grid_value(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"grids": {"theorem1": {"x1": ["abc"]}}}')
+        assert main(["verify", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert "'theorem1'" in err and "'x1'" in err and "'abc'" in err
+
+    def test_grid_value_types(self):
+        ok = {"theorem1": {"x1": [0.1, 0], "p": [0.5, [0.5, -0.5]]},
+              "lauricella": {"alphas": [[0.3, 0.5]], "xs": [[0.2, -0.1]]}}
+        assert GridConfig.from_dict({"grids": ok}).grids == ok
+        for grid in ({"theorem1": {"x1": [True]}}, {"theorem1": {"x1": [[0.1, 0.2]]}},
+                     {"theorem1": {"p": [[0.5, 0.5, 0.5]]}}, {"theorem1": {"p": [None]}},
+                     {"lauricella": {"alphas": [0.3]}}, {"theorem1": {"x1": "0.1"}}):
+            with pytest.raises(ConfigError, match="is not"):
+                GridConfig.from_dict({"grids": grid})
+
+    def test_eval_node_overflow_exits_3_without_warnings(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", "integral_direct", "alpha=1.2", "beta=0.8", "alpha1=0.5",
+                         "alpha2=0.9", "x1=0.3", "x2=-0.25", "lam=0.5", "p=-40"]) == 3
+        assert "overflowed at n=" in capsys.readouterr().err
 
     def test_verify_case_filter_and_failure_exit(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
