@@ -56,6 +56,7 @@ from .identities import (
     closed_form_theorem2,
     closed_form_theorem3,
     closed_form_theorem4,
+    euler_case,
     generating_integral_closed_form,
     reduce_lambda1,
     t1_spec,

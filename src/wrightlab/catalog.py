@@ -9,7 +9,9 @@ while keeping node-level Mittag-Leffler sums cheap.
 
 from __future__ import annotations
 
+import itertools
 import random
+from functools import partial
 from typing import Callable, Sequence
 
 from .errors import DomainError
@@ -25,6 +27,7 @@ from .identities import (
     closed_form_theorem2,
     closed_form_theorem3,
     closed_form_theorem4,
+    euler_case,
     generating_integral_closed_form,
     t1_spec,
     t2_spec,
@@ -32,24 +35,11 @@ from .identities import (
     t4_spec,
     tn_spec,
 )
-from .quadrature import evaluate_generating_integral_direct, evaluate_integral_direct
+from .quadrature import evaluate_generating_integral_direct
 
 __all__ = ["CaseFamily", "FAMILIES", "family_names", "build_case", "iter_default_points"]
 
 DEFAULT_P_LIST = [0.0, 0.8, -0.8, 1.5, 0.5 + 0.5j, complex(0.0, -1.2)]
-
-
-def _euler_case(name: str, spec, closed: Callable, scale: float = 1.0) -> IdentityCase:
-    def oracle(qpolicy=None, spolicy=None):
-        from .quadrature import QuadratureResult
-
-        raw = evaluate_integral_direct(spec, qpolicy, spolicy)
-        if scale == 1.0:
-            return raw
-        return QuadratureResult(raw.value * scale, raw.err_estimate * abs(scale),
-                                raw.evaluations)
-
-    return IdentityCase(name=name, spec=spec, closed_form=closed, oracle=oracle)
 
 
 class CaseFamily:
@@ -89,44 +79,13 @@ def _lam0_gate(lam, p, xi_max):
 # -- theorem families -------------------------------------------------------
 
 
-def _build_theorem1(alpha, beta, alpha1, alpha2, x1, x2, lam, p):
-    spec = t1_spec(alpha, beta, alpha1, alpha2, x1, x2, lam, p)
-    spec.validate()
-    return _euler_case(
-        "theorem1", spec,
-        lambda pol: closed_form_theorem1(alpha, beta, alpha1, alpha2, x1, x2, lam, p, pol))
+def _euler_builder(name: str, spec_fn: Callable, closed_fn: Callable):
+    """Builder of a theorem family whose spec and closed form take its parameters."""
 
+    def build(**params):
+        return euler_case(name, spec_fn(**params), lambda pol: closed_fn(**params, policy=pol))
 
-def _build_theorem2(alpha, beta, alpha1, alpha2, x1, x2, lam, p):
-    spec = t2_spec(alpha, beta, alpha1, alpha2, x1, x2, lam, p)
-    spec.validate()
-    return _euler_case(
-        "theorem2", spec,
-        lambda pol: closed_form_theorem2(alpha, beta, alpha1, alpha2, x1, x2, lam, p, pol))
-
-
-def _build_theorem3(alpha, beta, gamma, a, b, u, v, lam, p):
-    spec = t3_spec(alpha, beta, gamma, a, b, u, v, lam, p)
-    spec.validate()
-    return _euler_case(
-        "theorem3", spec,
-        lambda pol: closed_form_theorem3(alpha, beta, gamma, a, b, u, v, lam, p, pol))
-
-
-def _build_theorem4(alpha, beta, a, b, nu, mu, lam, p):
-    spec = t4_spec(alpha, beta, a, b, nu, mu, lam, p)
-    spec.validate()
-    return _euler_case(
-        "theorem4", spec,
-        lambda pol: closed_form_theorem4(alpha, beta, a, b, nu, mu, lam, p, pol))
-
-
-def _build_lauricella(alpha, beta, alphas, xs, lam, p):
-    spec = tn_spec(alpha, beta, alphas, xs, lam, p)
-    spec.validate()
-    return _euler_case(
-        "lauricella", spec,
-        lambda pol: closed_form_lauricella(alpha, beta, tuple(alphas), tuple(xs), lam, p, pol))
+    return build
 
 
 # -- generating-function families -------------------------------------------
@@ -170,16 +129,6 @@ def _build_theorem6(a, alphas, xs, r, s, delta, omega, lam, p, t):
                      factors)
 
 
-# -- application cases -------------------------------------------------------
-
-
-def _build_ex(cid):
-    def build(p, **params):
-        return application_case(cid, p, **params)
-
-    return build
-
-
 # -- randomized draws --------------------------------------------------------
 
 
@@ -193,10 +142,8 @@ def _build_theorem1_random(draw, seed):
     x2 = rng.uniform(-0.5, 0.5)
     lam = rng.choice([0.5, 1.0, 2.0])
     p = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-    spec = t1_spec(alpha, beta, alpha1, alpha2, x1, x2, lam, p)
-    spec.validate()
-    return _euler_case(
-        "theorem1-random", spec,
+    return euler_case(
+        "theorem1-random", t1_spec(alpha, beta, alpha1, alpha2, x1, x2, lam, p),
         lambda pol: closed_form_theorem1(alpha, beta, alpha1, alpha2, x1, x2, lam, p, pol))
 
 
@@ -212,35 +159,35 @@ _register(CaseFamily(
     ("alpha", "beta", "alpha1", "alpha2", "x1", "x2", "lam", "p"),
     {"alpha": [1.2, 0.6], "beta": [0.8], "alpha1": [0.5], "alpha2": [0.9],
      "x1": [0.3], "x2": [-0.25, 0.45], "lam": [0.5, 1.0, 2.0], "p": DEFAULT_P_LIST},
-    _build_theorem1,
+    _euler_builder("theorem1", t1_spec, closed_form_theorem1),
 ))
 _register(CaseFamily(
     "theorem2",
     ("alpha", "beta", "alpha1", "alpha2", "x1", "x2", "lam", "p"),
     {"alpha": [1.5], "beta": [1.1], "alpha1": [0.4], "alpha2": [0.6],
      "x1": [0.2], "x2": [0.3], "lam": [0.5, 1.0], "p": DEFAULT_P_LIST},
-    _build_theorem2,
+    _euler_builder("theorem2", t2_spec, closed_form_theorem2),
 ))
 _register(CaseFamily(
     "theorem3",
     ("alpha", "beta", "gamma", "a", "b", "u", "v", "lam", "p"),
     {"alpha": [0.9], "beta": [1.3], "gamma": [-0.7, 2.0], "a": [0.0], "b": [1.0],
      "u": [-0.4], "v": [1.0], "lam": [0.5, 1.0], "p": DEFAULT_P_LIST},
-    _build_theorem3,
+    _euler_builder("theorem3", t3_spec, closed_form_theorem3),
 ))
 _register(CaseFamily(
     "theorem3-interval",
     ("alpha", "beta", "gamma", "a", "b", "u", "v", "lam", "p"),
     {"alpha": [0.9], "beta": [1.3], "gamma": [-0.7], "a": [-1.0], "b": [1.5],
      "u": [0.3], "v": [1.4], "lam": [1.0], "p": [0.0, 0.4, 0.2 + 0.2j]},
-    _build_theorem3,
+    _euler_builder("theorem3", t3_spec, closed_form_theorem3),
 ))
 _register(CaseFamily(
     "theorem4",
     ("alpha", "beta", "a", "b", "nu", "mu", "lam", "p"),
     {"alpha": [1.2], "beta": [0.8], "a": [0.0], "b": [1.0, 2.5],
      "nu": [0.0, 0.5], "mu": [1.5], "lam": [0.0, 1.0, 2.0], "p": DEFAULT_P_LIST},
-    _build_theorem4,
+    _euler_builder("theorem4", t4_spec, closed_form_theorem4),
     validate=lambda alpha, beta, a, b, nu, mu, lam, p: (
         "need a < b" if not a < b else
         _lam0_gate(lam, p, 0.25 / min(1.0 + nu, 1.0 + mu) ** 2)),
@@ -250,42 +197,42 @@ _register(CaseFamily(
     ("alpha", "beta", "alphas", "xs", "lam", "p"),
     {"alpha": [0.6], "beta": [1.4], "alphas": [[0.3, 0.5, 0.7]],
      "xs": [[0.2, -0.15, 0.3]], "lam": [1.0, 2.0], "p": DEFAULT_P_LIST},
-    _build_lauricella,
+    _euler_builder("lauricella", tn_spec, closed_form_lauricella),
 ))
 _register(CaseFamily(
     "ex4.1",
     ("alpha", "alpha1", "x1", "lam", "p"),
     {"alpha": [0.9], "alpha1": [0.6], "x1": [0.3, -0.4], "lam": [1.0, 2.0],
      "p": DEFAULT_P_LIST},
-    _build_ex("4.1"),
+    partial(application_case, "4.1"),
 ))
 _register(CaseFamily(
     "ex4.2",
     ("alpha", "beta", "alpha1", "alpha2", "x1", "lam", "p"),
     {"alpha": [1.0], "beta": [1.4], "alpha1": [0.3], "alpha2": [0.4],
      "x1": [0.25], "lam": [0.5, 1.0], "p": DEFAULT_P_LIST},
-    _build_ex("4.2"),
+    partial(application_case, "4.2"),
 ))
 _register(CaseFamily(
     "ex4.2-2f2",
     ("alpha", "beta", "alpha1", "alpha2", "x1", "p"),
     {"alpha": [1.0], "beta": [1.4], "alpha1": [0.3], "alpha2": [0.4],
      "x1": [0.25], "p": DEFAULT_P_LIST},
-    _build_ex("4.2-2f2"),
+    partial(application_case, "4.2-2f2"),
 ))
 _register(CaseFamily(
     "ex4.3",
     ("alpha", "beta", "alpha1", "x1", "lam", "p"),
     {"alpha": [0.9], "beta": [1.3], "alpha1": [0.8], "x1": [0.45], "lam": [1.0],
      "p": DEFAULT_P_LIST},
-    _build_ex("4.3"),
+    partial(application_case, "4.3"),
 ))
 _register(CaseFamily(
     "ex4.4",
     ("alpha", "beta", "a", "b", "lam", "p"),
     {"alpha": [1.1], "beta": [0.9], "a": [0.0, -1.0], "b": [1.0, 3.0],
      "lam": [0.5, 1.0, 2.0], "p": DEFAULT_P_LIST},
-    _build_ex("4.4"),
+    partial(application_case, "4.4"),
     validate=lambda alpha, beta, a, b, lam, p: ("need a < b" if not a < b else None),
 ))
 _register(CaseFamily(
@@ -293,7 +240,7 @@ _register(CaseFamily(
     ("alpha", "nu", "mu", "lam", "p"),
     {"alpha": [0.8, 1.6], "nu": [0.4], "mu": [1.1], "lam": [1.0, 2.0],
      "p": DEFAULT_P_LIST},
-    _build_ex("4.5"),
+    partial(application_case, "4.5"),
 ))
 _register(CaseFamily(
     "gen-binomial",
@@ -348,19 +295,17 @@ def build_case(family: str, params: dict) -> IdentityCase:
     return FAMILIES[family].build(params)
 
 
-def iter_default_points(family: str):
-    """Cross product of the family's default per-parameter value lists."""
+def iter_default_points(family: str, override: dict | None = None):
+    """Cross product of the family's per-parameter value lists.
+
+    override replaces the lists of the parameters it names; a bare scalar
+    there is a one-point list.
+    """
     fam = FAMILIES[family]
-    names = fam.param_names
-    lists = [fam.defaults[n] for n in names]
-
-    def rec(i, acc):
-        if i == len(names):
-            yield dict(acc)
-            return
-        for value in lists[i]:
-            acc[names[i]] = value
-            yield from rec(i + 1, acc)
-        acc.pop(names[i], None)
-
-    yield from rec(0, {})
+    override = override or {}
+    lists = []
+    for name in fam.param_names:
+        values = override.get(name, fam.defaults[name])
+        lists.append(values if isinstance(values, list) else [values])
+    for values in itertools.product(*lists):
+        yield dict(zip(fam.param_names, values))

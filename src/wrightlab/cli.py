@@ -102,6 +102,11 @@ def _print_scalar(name: str, value: float) -> None:
     print(f"{name} value={value!r}")
 
 
+def _print_quadrature(name: str, result) -> None:
+    print(f"{name} value={_fmt_complex(result.value)} "
+          f"err={result.err_estimate:.3e} evals={result.evaluations}")
+
+
 def _make_generator(kv: dict):
     kind = kv.pop("gen", "binomial")
     if kind == "binomial":
@@ -113,105 +118,102 @@ def _make_generator(kv: dict):
     raise DomainError(f"unknown generator kind {kind!r}")
 
 
+# Each integral family: its spec builder, its closed form, and the parameters
+# both take before (lam, p), in their order; a and b default to (0, 1).
+_FAMILIES = {
+    "t1": (t1_spec, closed_form_theorem1, ("alpha", "beta", "alpha1", "alpha2", "x1", "x2")),
+    "t2": (t2_spec, closed_form_theorem2, ("alpha", "beta", "alpha1", "alpha2", "x1", "x2")),
+    "t3": (t3_spec, closed_form_theorem3, ("alpha", "beta", "gamma", "a", "b", "u", "v")),
+    "t4": (t4_spec, closed_form_theorem4, ("alpha", "beta", "a", "b", "nu", "mu")),
+    "tn": (tn_spec, closed_form_lauricella, ("alpha", "beta", "alphas", "xs")),
+}
+_UNIT_INTERVAL = {"a": 0.0, "b": 1.0}
+
+
+def _family_args(kv: dict, family: str) -> list:
+    return [kv.get(name, _UNIT_INTERVAL[name]) if name in _UNIT_INTERVAL else kv[name]
+            for name in _FAMILIES[family][2]]
+
+
 def _euler_spec_from_kv(kv: dict):
     family = kv.pop("family", "t1")
     lam = float(kv.pop("lam"))
     p = _as_complex(kv.pop("p", 0.0))
-    if family == "t1":
-        return t1_spec(kv["alpha"], kv["beta"], kv["alpha1"], kv["alpha2"],
-                       kv["x1"], kv["x2"], lam, p)
-    if family == "t2":
-        return t2_spec(kv["alpha"], kv["beta"], kv["alpha1"], kv["alpha2"],
-                       kv["x1"], kv["x2"], lam, p)
-    if family == "t3":
-        return t3_spec(kv["alpha"], kv["beta"], kv["gamma"], kv.get("a", 0.0),
-                       kv.get("b", 1.0), kv["u"], kv["v"], lam, p)
-    if family == "t4":
-        return t4_spec(kv["alpha"], kv["beta"], kv.get("a", 0.0), kv.get("b", 1.0),
-                       kv["nu"], kv["mu"], lam, p)
-    if family == "tn":
-        return tn_spec(kv["alpha"], kv["beta"], kv["alphas"], kv["xs"], lam, p)
-    raise DomainError(f"unknown integral family {family!r}")
+    if family not in _FAMILIES:
+        raise DomainError(f"unknown integral family {family!r}")
+    return _FAMILIES[family][0](*_family_args(kv, family), lam, p)
 
 
-def _eval_dispatch(name: str, kv: dict, policy: SeriesPolicy) -> None:
-    if name in ("wright_psi", "wright_psi_normalized"):
-        spec = WrightSpec(_as_pairs(kv["upper"]), _as_pairs(kv.get("lower", [])))
-        fn = wright_psi if name == "wright_psi" else wright_psi_normalized
-        _print_series(name, fn(spec, _as_complex(kv["z"]), policy))
-    elif name == "pfq":
-        _print_series(name, hyper_pfq([float(v) for v in kv.get("num", [])],
-                                      [float(v) for v in kv.get("den", [])],
-                                      _as_complex(kv["z"]), policy))
-    elif name == "mittag_leffler":
-        _print_series(name, mittag_leffler(float(kv["lam"]), _as_complex(kv["z"]), policy))
-    elif name == "appell_f1":
-        _print_series(name, appell_f1(kv["alpha"], kv["beta1"], kv["beta2"], kv["gamma"],
-                                      _as_complex(kv["x"]), _as_complex(kv["y"]), policy))
-    elif name == "appell_f3":
-        _print_series(name, appell_f3(kv["alpha1"], kv["alpha2"], kv["beta1"], kv["beta2"],
-                                      kv["gamma"], _as_complex(kv["x"]),
-                                      _as_complex(kv["y"]), policy))
-    elif name == "humbert_phi2":
-        _print_series(name, humbert_phi2(kv["b1"], kv["b2"], kv["c"],
-                                         _as_complex(kv["x"]), _as_complex(kv["y"]), policy))
-    elif name == "lauricella_fd":
-        _print_series(name, lauricella_fd(kv["alpha"], kv["alphas"], kv["gamma"],
-                                          [_as_complex(x) for x in kv["xs"]], policy))
-    elif name == "gegenbauer":
-        _print_scalar(name, gegenbauer(int(kv["n"]), float(kv["a"]), float(kv["x"])))
-    elif name == "beta":
-        _print_scalar(name, beta_fn(float(kv["x"]), float(kv["y"])))
-    elif name == "gamma":
-        _print_scalar(name, gamma_fn(float(kv["x"])))
-    elif name == "log_gamma":
-        _print_scalar(name, log_gamma(float(kv["x"])))
-    elif name == "pochhammer":
-        _print_scalar(name, pochhammer(float(kv["a"]), int(kv["n"])))
-    elif name == "theorem1":
-        _print_series(name, closed_form_theorem1(kv["alpha"], kv["beta"], kv["alpha1"],
-                                                 kv["alpha2"], kv["x1"], kv["x2"],
-                                                 kv["lam"], _as_complex(kv["p"]), policy))
-    elif name == "theorem2":
-        _print_series(name, closed_form_theorem2(kv["alpha"], kv["beta"], kv["alpha1"],
-                                                 kv["alpha2"], kv["x1"], kv["x2"],
-                                                 kv["lam"], _as_complex(kv["p"]), policy))
-    elif name == "theorem3":
-        _print_series(name, closed_form_theorem3(kv["alpha"], kv["beta"], kv["gamma"],
-                                                 kv.get("a", 0.0), kv.get("b", 1.0),
-                                                 kv["u"], kv["v"], kv["lam"],
-                                                 _as_complex(kv["p"]), policy))
-    elif name == "theorem4":
-        _print_series(name, closed_form_theorem4(kv["alpha"], kv["beta"], kv.get("a", 0.0),
-                                                 kv.get("b", 1.0), kv["nu"], kv["mu"],
-                                                 kv["lam"], _as_complex(kv["p"]), policy))
-    elif name == "lauricella_closed":
-        _print_series(name, closed_form_lauricella(kv["alpha"], kv["beta"], kv["alphas"],
-                                                   kv["xs"], kv["lam"],
-                                                   _as_complex(kv["p"]), policy))
-    elif name == "generating":
-        gen = _make_generator(kv)
-        factors = list(zip(kv.get("alphas", []), kv.get("xs", [])))
-        _print_series(name, generating_integral_closed_form(
-            gen, kv["r"], kv["s"], kv["delta"], kv["omega"], kv["lam"],
-            _as_complex(kv.get("p", 0.0)), _as_complex(kv.get("t", 0.0)),
-            factors, policy))
-    elif name == "integral_direct":
-        spec = _euler_spec_from_kv(kv)
-        result = evaluate_integral_direct(spec, QuadraturePolicy(), policy)
-        print(f"{name} value={_fmt_complex(result.value)} "
-              f"err={result.err_estimate:.3e} evals={result.evaluations}")
-    else:
-        raise KeyError(name)
+def _closed_form(family: str):
+    closed = _FAMILIES[family][1]
+    return lambda kv, pol: closed(*_family_args(kv, family), kv["lam"], _as_complex(kv["p"]), pol)
 
 
-EVAL_FUNCTIONS = [
-    "wright_psi", "wright_psi_normalized", "pfq", "mittag_leffler",
-    "appell_f1", "appell_f3", "humbert_phi2", "lauricella_fd", "gegenbauer",
-    "beta", "gamma", "log_gamma", "pochhammer",
-    "theorem1", "theorem2", "theorem3", "theorem4", "lauricella_closed",
-    "generating", "integral_direct",
-]
+def _wright_spec(kv: dict) -> WrightSpec:
+    return WrightSpec(_as_pairs(kv["upper"]), _as_pairs(kv.get("lower", [])))
+
+
+def _generating(kv: dict, policy: SeriesPolicy) -> SeriesResult:
+    gen = _make_generator(kv)
+    factors = list(zip(kv.get("alphas", []), kv.get("xs", [])))
+    return generating_integral_closed_form(
+        gen, kv["r"], kv["s"], kv["delta"], kv["omega"], kv["lam"],
+        _as_complex(kv.get("p", 0.0)), _as_complex(kv.get("t", 0.0)), factors, policy)
+
+
+# name -> (evaluator(kv, policy), printer(name, result)); the order is the
+# one "choose one of" lists.
+_EVALUATORS = {
+    "wright_psi": (
+        lambda kv, pol: wright_psi(_wright_spec(kv), _as_complex(kv["z"]), pol),
+        _print_series),
+    "wright_psi_normalized": (
+        lambda kv, pol: wright_psi_normalized(_wright_spec(kv), _as_complex(kv["z"]), pol),
+        _print_series),
+    "pfq": (
+        lambda kv, pol: hyper_pfq([float(v) for v in kv.get("num", [])],
+                                  [float(v) for v in kv.get("den", [])],
+                                  _as_complex(kv["z"]), pol),
+        _print_series),
+    "mittag_leffler": (
+        lambda kv, pol: mittag_leffler(float(kv["lam"]), _as_complex(kv["z"]), pol),
+        _print_series),
+    "appell_f1": (
+        lambda kv, pol: appell_f1(kv["alpha"], kv["beta1"], kv["beta2"], kv["gamma"],
+                                  _as_complex(kv["x"]), _as_complex(kv["y"]), pol),
+        _print_series),
+    "appell_f3": (
+        lambda kv, pol: appell_f3(kv["alpha1"], kv["alpha2"], kv["beta1"], kv["beta2"],
+                                  kv["gamma"], _as_complex(kv["x"]), _as_complex(kv["y"]), pol),
+        _print_series),
+    "humbert_phi2": (
+        lambda kv, pol: humbert_phi2(kv["b1"], kv["b2"], kv["c"],
+                                     _as_complex(kv["x"]), _as_complex(kv["y"]), pol),
+        _print_series),
+    "lauricella_fd": (
+        lambda kv, pol: lauricella_fd(kv["alpha"], kv["alphas"], kv["gamma"],
+                                      [_as_complex(x) for x in kv["xs"]], pol),
+        _print_series),
+    "gegenbauer": (
+        lambda kv, pol: gegenbauer(int(kv["n"]), float(kv["a"]), float(kv["x"])),
+        _print_scalar),
+    "beta": (lambda kv, pol: beta_fn(float(kv["x"]), float(kv["y"])), _print_scalar),
+    "gamma": (lambda kv, pol: gamma_fn(float(kv["x"])), _print_scalar),
+    "log_gamma": (lambda kv, pol: log_gamma(float(kv["x"])), _print_scalar),
+    "pochhammer": (lambda kv, pol: pochhammer(float(kv["a"]), int(kv["n"])), _print_scalar),
+    "theorem1": (_closed_form("t1"), _print_series),
+    "theorem2": (_closed_form("t2"), _print_series),
+    "theorem3": (_closed_form("t3"), _print_series),
+    "theorem4": (_closed_form("t4"), _print_series),
+    "lauricella_closed": (_closed_form("tn"), _print_series),
+    "generating": (_generating, _print_series),
+    "integral_direct": (
+        lambda kv, pol: evaluate_integral_direct(_euler_spec_from_kv(kv), QuadraturePolicy(),
+                                                 pol),
+        _print_quadrature),
+}
+
+EVAL_FUNCTIONS = list(_EVALUATORS)
 
 
 def _cmd_eval(args) -> int:
@@ -221,10 +223,10 @@ def _cmd_eval(args) -> int:
         return 1
     try:
         kv = _parse_kv(args.params)
-        policy = SeriesPolicy.from_env()
-        _eval_dispatch(args.function, kv, policy)
+        evaluate, printer = _EVALUATORS[args.function]
+        printer(args.function, evaluate(kv, SeriesPolicy.from_env()))
         return 0
-    except (DomainError, PoleError) as exc:
+    except (DomainError, PoleError, OverflowError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
     except (DivergenceError, MaxTermsError, NonConvergenceError, EvaluationError) as exc:

@@ -7,11 +7,18 @@ quadrature.evaluate_integral_direct obtains by direct integration:
             chi(t)^gamma E_lam[p xi(t)] dt
 
 for the chi/xi families below, plus the generating-function integrals
-(raw, without the beta normalization).  The inner engine is always a
-3-by-2 Wright series with weight pattern (1,1,1; 2, lam).  The closed forms
-evaluate it for blocks of outer indices at once, as log-space tables that
-stop each row by the caller's series policy (_InnerTable); rows the table
-cannot settle, and T4's single value, go through the scalar engine.
+(raw, without the beta normalization).
+
+Each family owns its domain checks (check, run by EulerIntegralSpec.validate)
+and its node forms chi and xi (used by the direct integral): every closed
+form validates by building its spec, and euler_case binds a spec to both
+routes.
+
+The inner engine is always a 3-by-2 Wright series with weight pattern
+(1,1,1; 2, lam).  The closed forms evaluate it for blocks of outer indices
+at once, as log-space tables that stop each row by the caller's series
+policy (_InnerTable); rows the table cannot settle, and T4's single value,
+go through the scalar engine.
 
 On a general interval the linear-weight family (T3) picks up the factors
 (b-a)^(alpha+beta-1) and (a*u+v)^gamma, and the series argument becomes
@@ -29,7 +36,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .multivar import _DoublePochStream, _PochPowerStream, _convolve_at
+from .multivar import _PochPowerStream, _StreamProduct
+from .quadrature import QuadratureResult, evaluate_integral_direct
 from .scalars import _is_nonpositive_integer, pochhammer
 from .series import (
     SeriesPolicy,
@@ -62,6 +70,7 @@ __all__ = [
     "generating_integral_closed_form",
     "reduce_lambda1",
     "application_case",
+    "euler_case",
 ]
 
 
@@ -70,8 +79,34 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+# The n-variable extension is checked and summed for 1..4 variables.
+_MAX_VARIABLES = 4
+
+
+class _Family:
+    """Shared by the chi/xi families: xi = (t-a)(b-t), whose maximum is width^2/4.
+
+    Each family owns check(spec), the domain conditions beyond the common
+    ones of EulerIntegralSpec.validate, and its node forms chi(x, da, db,
+    width) and xi(da, db, chi), which the direct integral evaluates at the
+    abscissae x with exact endpoint distances da = x - a and db = b - x.
+    """
+
+    def xi(self, da, db, chi):
+        return da * db
+
+    def xi_max(self, width: float) -> float:
+        """Upper bound for |xi| on an interval of this width (the lam = 0 gate)."""
+        return 0.25 * width * width
+
+
+def _check_unit_interval(spec):
+    if (spec.a, spec.b, spec.gamma) != (0.0, 1.0, 1.0):
+        raise DomainError("this family is defined on (0, 1) with unit exponent")
+
+
 @dataclass(frozen=True)
-class T1Family:
+class T1Family(_Family):
     """chi = (1 - x1 t)^(-a1) (1 - x2 t)^(-a2), xi = t(1-t), on (0, 1)."""
 
     alpha1: float
@@ -79,13 +114,17 @@ class T1Family:
     x1: float
     x2: float
 
-    def validate(self):
+    def check(self, spec):
+        _check_unit_interval(spec)
         if abs(self.x1) >= 1.0 or abs(self.x2) >= 1.0:
             raise DomainError("T1 needs |x1| < 1 and |x2| < 1")
 
+    def chi(self, x, da, db, width):
+        return (1.0 - self.x1 * x) ** (-self.alpha1) * (1.0 - self.x2 * x) ** (-self.alpha2)
+
 
 @dataclass(frozen=True)
-class T2Family:
+class T2Family(_Family):
     """chi = (1 - x1 t)^(-a1) (1 - x2 (1-t))^(-a2), xi = t(1-t), on (0, 1)."""
 
     alpha1: float
@@ -93,47 +132,77 @@ class T2Family:
     x1: float
     x2: float
 
-    def validate(self):
+    def check(self, spec):
+        _check_unit_interval(spec)
         if abs(self.x1) >= 1.0 or abs(self.x2) >= 1.0:
             raise DomainError("T2 needs |x1| < 1 and |x2| < 1")
 
+    def chi(self, x, da, db, width):
+        return (1.0 - self.x1 * x) ** (-self.alpha1) * (1.0 - self.x2 * db) ** (-self.alpha2)
+
 
 @dataclass(frozen=True)
-class T3Family:
+class T3Family(_Family):
     """chi = u t + v (linear weight), xi = (t-a)(b-t)."""
 
     u: float
     v: float
 
-    def validate_on(self, a: float, b: float):
-        if a * self.u + self.v <= 0.0 or b * self.u + self.v <= 0.0:
+    def check(self, spec):
+        if spec.a * self.u + self.v <= 0.0 or spec.b * self.u + self.v <= 0.0:
             raise DomainError("T3 needs u*t + v positive at both endpoints")
+
+    def chi(self, x, da, db, width):
+        return self.u * x + self.v
 
 
 @dataclass(frozen=True)
-class T4Family:
+class T4Family(_Family):
     """chi = (b-a) + nu (t-a) + mu (b-t), xi = (t-a)(b-t)/chi^2, gamma fixed."""
 
     nu: float
     mu: float
 
-    def validate(self):
+    def check(self, spec):
+        if spec.gamma != -(spec.alpha + spec.beta):
+            raise DomainError("T4 fixes gamma = -(alpha + beta)")
         if self.nu <= -1.0 or self.mu <= -1.0:
             raise DomainError("T4 needs nu > -1 and mu > -1 so chi stays positive")
 
+    def chi(self, x, da, db, width):
+        return width + self.nu * da + self.mu * db
+
+    def xi(self, da, db, chi):
+        return da * db / (chi * chi)
+
+    def xi_max(self, width: float) -> float:
+        # xi = s(1-s)/eta(s)^2 with s = (t-a)/(b-a): the width cancels
+        s = np.linspace(0.0, 1.0, 2001)
+        eta = 1.0 + self.nu * s + self.mu * (1.0 - s)
+        return float(np.max(s * (1.0 - s) / (eta * eta)))
+
 
 @dataclass(frozen=True)
-class TNFamily:
+class TNFamily(_Family):
     """chi = prod_i (1 - x_i t)^(-a_i), xi = t(1-t), on (0, 1)."""
 
     alphas: tuple[float, ...]
     xs: tuple[float, ...]
 
-    def validate(self):
+    def check(self, spec):
+        _check_unit_interval(spec)
         if len(self.alphas) != len(self.xs):
             raise DomainError("TN needs matching alphas and xs")
+        if not 1 <= len(self.xs) <= _MAX_VARIABLES:
+            raise DomainError(f"TN needs 1..{_MAX_VARIABLES} variables, got {len(self.xs)}")
         if any(abs(x) >= 1.0 for x in self.xs):
             raise DomainError("TN needs max |x_i| < 1")
+
+    def chi(self, x, da, db, width):
+        out = np.ones_like(x)
+        for ai, xi in zip(self.alphas, self.xs):
+            out = out * (1.0 - xi * x) ** (-ai)
+        return out
 
 
 @dataclass(frozen=True)
@@ -156,19 +225,10 @@ class EulerIntegralSpec:
             raise DomainError("need lam >= 0")
         if not self.a < self.b:
             raise DomainError("need a < b")
-        fam = self.family
-        if isinstance(fam, (T1Family, T2Family, TNFamily)):
-            if (self.a, self.b, self.gamma) != (0.0, 1.0, 1.0):
-                raise DomainError("this family is defined on (0, 1) with unit exponent")
-            fam.validate()
-        elif isinstance(fam, T3Family):
-            fam.validate_on(self.a, self.b)
-        elif isinstance(fam, T4Family):
-            if self.gamma != -(self.alpha + self.beta):
-                raise DomainError("T4 fixes gamma = -(alpha + beta)")
-            fam.validate()
-        else:
-            raise DomainError(f"unknown family {type(fam).__name__}")
+        check = getattr(self.family, "check", None)
+        if check is None:
+            raise DomainError(f"unknown family {type(self.family).__name__}")
+        check(self)
 
 
 def t1_spec(alpha, beta, alpha1, alpha2, x1, x2, lam, p) -> EulerIntegralSpec:
@@ -287,49 +347,45 @@ class _InnerTable:
             yield from self.rows(*(x + dx * d for x, dx in zip(start, step)))
 
 
-def _validate_common(alpha: float, beta: float, lam: float):
-    if not alpha > 0.0 or not beta > 0.0:
-        raise DomainError("need alpha > 0 and beta > 0")
-    if lam < 0.0:
-        raise DomainError("need lam >= 0")
-
-
 # ---------------------------------------------------------------------------
 # Closed forms for the integral family
 # ---------------------------------------------------------------------------
 
 
-def closed_form_theorem1(alpha: float, beta: float, alpha1: float, alpha2: float,
-                         x1: float, x2: float, lam: float, p: complex,
-                         policy: SeriesPolicy | None = None) -> SeriesResult:
-    """Series value of the T1 integral, summed by diagonals m + n = d.
+def _lauricella_sum(alpha: float, beta: float, alphas: Sequence[float], xs: Sequence[float],
+                    lam: float, p: complex, policy: SeriesPolicy) -> SeriesResult:
+    """The n-variable closed form, summed by total degree d.
 
-    The inner Wright factor depends only on the diagonal index, so each
-    diagonal is a binomial-style convolution times one inner value, taken
-    from a ladder of inner rows tabulated a block of diagonals at a time.
-    At p = 0 this collapses to the F1 double series.
+    The inner Wright factor depends only on d, so each degree is the
+    degree-d coefficient of the product of the per-variable binomial
+    streams times (alpha)_d / (alpha+beta)_d times one inner value, taken
+    from a ladder of inner rows tabulated a block of degrees at a time.
     """
-    policy = policy or SeriesPolicy()
-    _validate_common(alpha, beta, lam)
-    if abs(x1) >= 1.0 or abs(x2) >= 1.0:
-        raise DomainError("need |x1| < 1 and |x2| < 1")
-    p = complex(p)
-    fx = _PochPowerStream(alpha1, x1)
-    gy = _PochPowerStream(alpha2, x2)
-    inner = _InnerTable(lam, p, policy).ladder((alpha, beta, alpha + beta), (1.0, 0.0, 1.0))
+    product = _StreamProduct([_PochPowerStream(xi, ai) for ai, xi in zip(alphas, xs)])
+    inner = _InnerTable(lam, complex(p), policy).ladder((alpha, beta, alpha + beta),
+                                                        (1.0, 0.0, 1.0))
 
-    def diagonals():
+    def degrees():
         ratio = 1.0  # (alpha)_d / (alpha+beta)_d
         d = 0
         while True:
-            fx.extend_to(d)
-            gy.extend_to(d)
-            conv = _convolve_at(fx.values, gy.values, d)
-            yield ratio * conv * next(inner).value
+            yield ratio * product.coeff(d) * next(inner).value
             ratio *= (alpha + d) / (alpha + beta + d)
             d += 1
 
-    return sum_with_policy(diagonals(), policy)
+    return sum_with_policy(degrees(), policy)
+
+
+def closed_form_theorem1(alpha: float, beta: float, alpha1: float, alpha2: float,
+                         x1: float, x2: float, lam: float, p: complex,
+                         policy: SeriesPolicy | None = None) -> SeriesResult:
+    """Series value of the T1 integral: the n = 2 case of closed_form_lauricella.
+
+    At p = 0 this collapses to the F1 double series.
+    """
+    t1_spec(alpha, beta, alpha1, alpha2, x1, x2, lam, p).validate()
+    return _lauricella_sum(alpha, beta, (alpha1, alpha2), (x1, x2), lam, p,
+                           policy or SeriesPolicy())
 
 
 def closed_form_theorem2(alpha: float, beta: float, alpha1: float, alpha2: float,
@@ -342,12 +398,10 @@ def closed_form_theorem2(alpha: float, beta: float, alpha1: float, alpha2: float
     p = 0 this collapses to the F3 double series.
     """
     policy = policy or SeriesPolicy()
-    _validate_common(alpha, beta, lam)
-    if abs(x1) >= 1.0 or abs(x2) >= 1.0:
-        raise DomainError("need |x1| < 1 and |x2| < 1")
+    t2_spec(alpha, beta, alpha1, alpha2, x1, x2, lam, p).validate()
     p = complex(p)
-    fx = _DoublePochStream(alpha, alpha1, x1)
-    gy = _DoublePochStream(beta, alpha2, x2)
+    fx = _PochPowerStream(x1, alpha, alpha1)
+    gy = _PochPowerStream(x2, beta, alpha2)
     inner = _InnerTable(lam, p, policy)
 
     def diagonals():
@@ -368,7 +422,6 @@ def closed_form_theorem2(alpha: float, beta: float, alpha1: float, alpha2: float
     return sum_with_policy(diagonals(), policy)
 
 
-
 def closed_form_theorem3(alpha: float, beta: float, gamma: float, a: float, b: float,
                          u: float, v: float, lam: float, p: complex,
                          policy: SeriesPolicy | None = None) -> SeriesResult:
@@ -378,12 +431,8 @@ def closed_form_theorem3(alpha: float, beta: float, gamma: float, a: float, b: f
     times (-u(b-a)/(a u+v))^m; nonnegative-integer gamma truncates it exactly.
     """
     policy = policy or SeriesPolicy()
-    _validate_common(alpha, beta, lam)
-    if not a < b:
-        raise DomainError("need a < b")
+    t3_spec(alpha, beta, gamma, a, b, u, v, lam, p).validate()
     auv = a * u + v
-    if auv <= 0.0 or b * u + v <= 0.0:
-        raise DomainError("need u*t + v positive at both endpoints")
     p = complex(p)
     width = b - a
     prefactor = auv ** gamma * width ** (alpha + beta - 1.0)
@@ -411,11 +460,7 @@ def closed_form_theorem4(alpha: float, beta: float, a: float, b: float,
                          policy: SeriesPolicy | None = None) -> SeriesResult:
     """Closed form of the T4 integral: a prefactor times one inner Wright value."""
     policy = policy or SeriesPolicy()
-    _validate_common(alpha, beta, lam)
-    if not a < b:
-        raise DomainError("need a < b")
-    if nu <= -1.0 or mu <= -1.0:
-        raise DomainError("need nu > -1 and mu > -1")
+    t4_spec(alpha, beta, a, b, nu, mu, lam, p).validate()
     scale = (nu + 1.0) ** (-alpha) * (mu + 1.0) ** (-beta) / (b - a)
     argument = complex(p) / ((nu + 1.0) * (mu + 1.0))
     spec = WrightSpec(((alpha, 1.0), (beta, 1.0), (1.0, 1.0)),
@@ -427,47 +472,15 @@ def closed_form_theorem4(alpha: float, beta: float, a: float, b: float,
 
 def closed_form_lauricella(alpha: float, beta: float, alphas: Sequence[float],
                            xs: Sequence[float], lam: float, p: complex,
-                           policy: SeriesPolicy | None = None,
-                           max_variables: int = 4) -> SeriesResult:
+                           policy: SeriesPolicy | None = None) -> SeriesResult:
     """n-variable extension of the T1 closed form, summed by total degree.
 
     Uses the normalized inner form with weights (alpha)_M / (alpha+beta)_M,
     which reduces to closed_form_theorem1 at n = 2 and to the FD series at
     p = 0.
     """
-    policy = policy or SeriesPolicy()
-    _validate_common(alpha, beta, lam)
-    n = len(alphas)
-    if n != len(xs):
-        raise DomainError("alphas and xs must have the same length")
-    if not 1 <= n <= max_variables:
-        raise DomainError(f"variable count must be in 1..{max_variables}")
-    if any(abs(x) >= 1.0 for x in xs):
-        raise DomainError("need max |x_i| < 1")
-    p = complex(p)
-    streams = [_PochPowerStream(ai, xi) for ai, xi in zip(alphas, xs)]
-    partial: list[list[complex]] = [[] for _ in range(n - 1)]
-
-    def product_coeff(d: int) -> complex:
-        for s in streams:
-            s.extend_to(d)
-        prev = streams[0].values
-        for i in range(1, n):
-            partial[i - 1].append(_convolve_at(prev, streams[i].values, d))
-            prev = partial[i - 1]
-        return prev[d]
-
-    inner = _InnerTable(lam, p, policy).ladder((alpha, beta, alpha + beta), (1.0, 0.0, 1.0))
-
-    def degrees():
-        ratio = 1.0
-        d = 0
-        while True:
-            yield ratio * product_coeff(d) * next(inner).value
-            ratio *= (alpha + d) / (alpha + beta + d)
-            d += 1
-
-    return sum_with_policy(degrees(), policy)
+    tn_spec(alpha, beta, alphas, xs, lam, p).validate()
+    return _lauricella_sum(alpha, beta, alphas, xs, lam, p, policy or SeriesPolicy())
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +594,6 @@ class HumbertGen:
             tc.append(pa_n * total)
 
     def node_values(self, tau):
-        import numpy as np
-
         radius = float(np.max(np.abs(tau))) if getattr(tau, "size", 1) else 0.0
         count = 8
         while True:
@@ -671,19 +682,7 @@ def generating_integral_closed_form(gen, r: float, s: float, delta: float, omega
 
         return sum_with_policy(terms(), policy)
 
-    streams = [_PochPowerStream(ai, xi) for ai, xi in factors]
-    partial: list[list[complex]] = [[] for _ in range(len(streams) - 1)]
-
-    def factor_coeff(m: int) -> complex:
-        for st in streams:
-            st.extend_to(m)
-        prev = streams[0].values
-        for i in range(1, len(streams)):
-            if len(partial[i - 1]) <= m:
-                partial[i - 1].append(_convolve_at(prev, streams[i].values, m))
-            prev = partial[i - 1]
-        return prev[m]
-
+    product = _StreamProduct([_PochPowerStream(xi, ai) for ai, xi in factors])
     t_powers = [1.0 + 0.0j]
     inner = _InnerTable(lam, p, policy, raw=True)
 
@@ -697,7 +696,7 @@ def generating_integral_closed_form(gen, r: float, s: float, delta: float, omega
                               s + (delta + omega) * n + (d - n))
             total = 0.0 + 0.0j
             for n, row in enumerate(rows):
-                total += gen.coefficient(n) * t_powers[n] * factor_coeff(d - n) * row.value
+                total += gen.coefficient(n) * t_powers[n] * product.coeff(d - n) * row.value
             yield total
             d += 1
 
@@ -745,17 +744,20 @@ class IdentityCase:
     validity_note: str = ""
 
 
-def _euler_oracle(spec: EulerIntegralSpec, scale: float = 1.0):
-    def run(qpolicy=None, spolicy=None):
-        from .quadrature import QuadratureResult, evaluate_integral_direct
+def euler_case(name: str, spec: EulerIntegralSpec, closed: Callable[[SeriesPolicy], SeriesResult],
+               scale: float = 1.0, note: str = "") -> IdentityCase:
+    """Validate spec and bind it to its closed form and to the direct-quadrature
+    oracle, whose value is multiplied by scale."""
+    spec.validate()
 
+    def oracle(qpolicy=None, spolicy=None):
         raw = evaluate_integral_direct(spec, qpolicy, spolicy)
         if scale == 1.0:
             return raw
         return QuadratureResult(raw.value * scale, raw.err_estimate * abs(scale),
                                 raw.evaluations)
 
-    return run
+    return IdentityCase(name, spec, closed, oracle, note)
 
 
 def application_case(case_id, p: complex, policy: SeriesPolicy | None = None,
@@ -775,16 +777,10 @@ def application_case(case_id, p: complex, policy: SeriesPolicy | None = None,
         if not (abs(x1) < 1.0 and x1 < 0.5):
             raise DomainError("case 4.1 needs |x1| < 1 and x1 < 1/2 so |x2| < 1")
         x2 = x1 / (x1 - 1.0)
-        spec = t1_spec(alpha, alpha, alpha1, alpha1, x1, x2, lam, p)
-        spec.validate()
-        return IdentityCase(
-            name="ex4.1",
-            spec=spec,
-            closed_form=lambda pol: closed_form_theorem1(
-                alpha, alpha, alpha1, alpha1, x1, x2, lam, p, pol),
-            oracle=_euler_oracle(spec),
-            validity_note="equal exponents and mirrored second argument",
-        )
+        return euler_case(
+            "ex4.1", t1_spec(alpha, alpha, alpha1, alpha1, x1, x2, lam, p),
+            lambda pol: closed_form_theorem1(alpha, alpha, alpha1, alpha1, x1, x2, lam, p, pol),
+            note="equal exponents and mirrored second argument")
     if cid == "4.2" or cid == "4.2-2f2":
         alpha = params["alpha"]
         beta = params["beta"]
@@ -795,8 +791,6 @@ def application_case(case_id, p: complex, policy: SeriesPolicy | None = None,
         if not abs(x1) < 1.0:
             raise DomainError("case 4.2 needs |x1| < 1")
         combined = alpha1 + alpha2
-        spec = t1_spec(alpha, beta, combined, 0.0, x1, 0.0, lam, p)
-        spec.validate()
         scale = 1.0 / (1.0 - x1)
 
         if cid == "4.2":
@@ -822,13 +816,8 @@ def application_case(case_id, p: complex, policy: SeriesPolicy | None = None,
 
                 return sum_with_policy(terms(), pol)
 
-        return IdentityCase(
-            name="ex" + cid,
-            spec=spec,
-            closed_form=closed,
-            oracle=_euler_oracle(spec, scale=scale),
-            validity_note="combined exponent with constant 1/(1-x1) weight",
-        )
+        return euler_case("ex" + cid, t1_spec(alpha, beta, combined, 0.0, x1, 0.0, lam, p),
+                          closed, scale, "combined exponent with constant 1/(1-x1) weight")
     if cid == "4.3":
         alpha = params["alpha"]
         beta = params["beta"]
@@ -837,45 +826,27 @@ def application_case(case_id, p: complex, policy: SeriesPolicy | None = None,
         lam = params["lam"]
         if not abs(x1) < 1.0:
             raise DomainError("case 4.3 needs |x1| < 1")
-        spec = t3_spec(alpha, beta, -alpha1, 0.0, 1.0, -x1, 1.0, lam, p)
-        spec.validate()
-        return IdentityCase(
-            name="ex4.3",
-            spec=spec,
-            closed_form=lambda pol: closed_form_theorem3(
-                alpha, beta, -alpha1, 0.0, 1.0, -x1, 1.0, lam, p, pol),
-            oracle=_euler_oracle(spec),
-            validity_note="linear weight specialized to (1 - x1 t)^(-alpha1)",
-        )
+        return euler_case(
+            "ex4.3", t3_spec(alpha, beta, -alpha1, 0.0, 1.0, -x1, 1.0, lam, p),
+            lambda pol: closed_form_theorem3(alpha, beta, -alpha1, 0.0, 1.0, -x1, 1.0, lam, p, pol),
+            note="linear weight specialized to (1 - x1 t)^(-alpha1)")
     if cid == "4.4":
         alpha = params["alpha"]
         beta = params["beta"]
         a = params["a"]
         b = params["b"]
         lam = params["lam"]
-        spec = t4_spec(alpha, beta, a, b, 0.0, 0.0, lam, p)
-        spec.validate()
-        return IdentityCase(
-            name="ex4.4",
-            spec=spec,
-            closed_form=lambda pol: closed_form_theorem4(alpha, beta, a, b, 0.0, 0.0,
-                                                         lam, p, pol),
-            oracle=_euler_oracle(spec),
-            validity_note="flat weight: value is the inner series over (b - a)",
-        )
+        return euler_case(
+            "ex4.4", t4_spec(alpha, beta, a, b, 0.0, 0.0, lam, p),
+            lambda pol: closed_form_theorem4(alpha, beta, a, b, 0.0, 0.0, lam, p, pol),
+            note="flat weight: value is the inner series over (b - a)")
     if cid == "4.5":
         alpha = params["alpha"]
         nu = params["nu"]
         mu = params["mu"]
         lam = params["lam"]
-        spec = t4_spec(alpha, alpha, 0.0, 1.0, nu, mu, lam, p)
-        spec.validate()
-        return IdentityCase(
-            name="ex4.5",
-            spec=spec,
-            closed_form=lambda pol: closed_form_theorem4(alpha, alpha, 0.0, 1.0, nu, mu,
-                                                         lam, p, pol),
-            oracle=_euler_oracle(spec),
-            validity_note="symmetric exponents on (0, 1)",
-        )
+        return euler_case(
+            "ex4.5", t4_spec(alpha, alpha, 0.0, 1.0, nu, mu, lam, p),
+            lambda pol: closed_form_theorem4(alpha, alpha, 0.0, 1.0, nu, mu, lam, p, pol),
+            note="symmetric exponents on (0, 1)")
     raise DomainError(f"unknown application case {case_id!r}")

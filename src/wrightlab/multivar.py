@@ -39,65 +39,61 @@ def _check_finite(value: complex, what: str) -> complex:
 
 
 class _PochPowerStream:
-    """Coefficients c[m] = (a)_m x^m / m!, extended on demand."""
+    """Coefficients c[m] = (a_1)_m ... (a_k)_m x^m / m! of the params a_i, extended on demand."""
 
-    __slots__ = ("a", "x", "values")
+    __slots__ = ("x", "params", "values")
 
-    def __init__(self, a: float, x: complex):
-        self.a = a
+    def __init__(self, x: complex, *params: float):
         self.x = complex(x)
+        self.params = params
         self.values = [1.0 + 0.0j]
 
     def extend_to(self, m: int):
         v = self.values
         while len(v) <= m:
             k = len(v)
-            v.append(v[-1] * (self.a + k - 1.0) * self.x / k)
-
-
-class _DoublePochStream:
-    """Coefficients c[m] = (a)_m (b)_m x^m / m!."""
-
-    __slots__ = ("a", "b", "x", "values")
-
-    def __init__(self, a: float, b: float, x: complex):
-        self.a = a
-        self.b = b
-        self.x = complex(x)
-        self.values = [1.0 + 0.0j]
-
-    def extend_to(self, m: int):
-        v = self.values
-        while len(v) <= m:
-            k = len(v)
-            v.append(v[-1] * (self.a + k - 1.0) * (self.b + k - 1.0) * self.x / k)
+            c = v[-1]
+            for a in self.params:
+                c = c * (a + k - 1.0)
+            v.append(c * self.x / k)
 
 
 def _convolve_at(f: list, g: list, d: int) -> complex:
     return sum(f[m] * g[d - m] for m in range(d + 1))
 
 
+class _StreamProduct:
+    """Coefficients of the product of coefficient streams, by total degree.
+
+    partial[i] holds the coefficients of streams[0] * ... * streams[i+1],
+    extended by one pairwise convolution per degree; coeff(d) may be asked
+    for any degree, in any order.
+    """
+
+    __slots__ = ("streams", "partial")
+
+    def __init__(self, streams: list):
+        self.streams = streams
+        self.partial: list[list[complex]] = [[] for _ in streams[1:]]
+
+    def coeff(self, d: int) -> complex:
+        for s in self.streams:
+            s.extend_to(d)
+        prev = self.streams[0].values
+        for stream, part in zip(self.streams[1:], self.partial):
+            while len(part) <= d:
+                part.append(_convolve_at(prev, stream.values, len(part)))
+            prev = part
+        return prev[d]
+
+
 def appell_f1(alpha: float, beta1: float, beta2: float, gamma: float,
               x: complex, y: complex, policy: SeriesPolicy | None = None) -> SeriesResult:
-    """Appell F1: sum (alpha)_{m+n} (beta1)_m (beta2)_n x^m y^n / ((gamma)_{m+n} m! n!)."""
-    policy = policy or SeriesPolicy()
-    if _is_nonpositive_integer(gamma):
-        raise PoleError(f"F1 lower parameter {gamma!r} is a nonpositive integer")
-    _require_unit_disc(x=x, y=y)
-    fx = _PochPowerStream(beta1, x)
-    gy = _PochPowerStream(beta2, y)
+    """Appell F1: sum (alpha)_{m+n} (beta1)_m (beta2)_n x^m y^n / ((gamma)_{m+n} m! n!).
 
-    def diagonals() -> Iterator[complex]:
-        ratio = 1.0  # (alpha)_d / (gamma)_d
-        d = 0
-        while True:
-            fx.extend_to(d)
-            gy.extend_to(d)
-            yield _check_finite(ratio * _convolve_at(fx.values, gy.values, d), "F1 diagonal")
-            ratio *= (alpha + d) / (gamma + d)
-            d += 1
-
-    return sum_with_policy(diagonals(), policy)
+    This is the two-variable FD series.
+    """
+    return lauricella_fd(alpha, (beta1, beta2), gamma, (x, y), policy)
 
 
 def appell_f3(alpha1: float, alpha2: float, beta1: float, beta2: float, gamma: float,
@@ -107,8 +103,8 @@ def appell_f3(alpha1: float, alpha2: float, beta1: float, beta2: float, gamma: f
     if _is_nonpositive_integer(gamma):
         raise PoleError(f"F3 lower parameter {gamma!r} is a nonpositive integer")
     _require_unit_disc(x=x, y=y)
-    fx = _DoublePochStream(alpha1, beta1, x)
-    gy = _DoublePochStream(alpha2, beta2, y)
+    fx = _PochPowerStream(x, alpha1, beta1)
+    gy = _PochPowerStream(y, alpha2, beta2)
 
     def diagonals() -> Iterator[complex]:
         inv_gamma = 1.0  # 1 / (gamma)_d
@@ -129,8 +125,8 @@ def humbert_phi2(b1: float, b2: float, c: float, x: complex, y: complex,
     policy = policy or SeriesPolicy()
     if _is_nonpositive_integer(c):
         raise PoleError(f"Phi2 lower parameter {c!r} is a nonpositive integer")
-    fx = _PochPowerStream(b1, x)
-    gy = _PochPowerStream(b2, y)
+    fx = _PochPowerStream(x, b1)
+    gy = _PochPowerStream(y, b2)
 
     def diagonals() -> Iterator[complex]:
         inv_c = 1.0
@@ -150,8 +146,7 @@ def lauricella_fd(alpha: float, alphas: Sequence[float], gamma: float,
     """n-variable FD series, summed by total degree M = m_1 + ... + m_n.
 
     The inner sum over compositions of M is the degree-M coefficient of the
-    product of the n per-variable streams, maintained as incremental
-    pairwise convolutions.
+    product of the n per-variable streams (_StreamProduct).
     """
     policy = policy or SeriesPolicy()
     if len(alphas) != len(xs):
@@ -163,24 +158,13 @@ def lauricella_fd(alpha: float, alphas: Sequence[float], gamma: float,
     for i, xi in enumerate(xs):
         if abs(xi) >= 1.0:
             raise DomainError(f"|x_{i + 1}| must be < 1, got {abs(xi)!r}")
-    streams = [_PochPowerStream(a, xi) for a, xi in zip(alphas, xs)]
-    # partial[i] holds coefficients of streams[0]*...*streams[i+1].
-    partial: list[list[complex]] = [[] for _ in range(len(streams) - 1)]
-
-    def product_coeff(d: int) -> complex:
-        for s in streams:
-            s.extend_to(d)
-        prev = streams[0].values
-        for i in range(1, len(streams)):
-            partial[i - 1].append(_convolve_at(prev, streams[i].values, d))
-            prev = partial[i - 1]
-        return prev[d] if len(streams) > 1 else streams[0].values[d]
+    product = _StreamProduct([_PochPowerStream(xi, a) for a, xi in zip(alphas, xs)])
 
     def degrees() -> Iterator[complex]:
         ratio = 1.0  # (alpha)_M / (gamma)_M
         d = 0
         while True:
-            yield _check_finite(ratio * product_coeff(d), "FD degree")
+            yield _check_finite(ratio * product.coeff(d), "FD degree")
             ratio *= (alpha + d) / (gamma + d)
             d += 1
 

@@ -12,6 +12,10 @@ singular factors from the exactly-represented endpoint distances.  Plain
 one-argument integrands are supported but are clipped at abscissae that
 round onto an endpoint, which limits attainable accuracy to roughly 1e-8
 when a singular factor is present.
+
+The direct integral of the Euler-type family knows no family by name: it
+validates the spec and calls the node forms chi, xi and the bound xi_max
+that each family of the identities module owns.
 """
 
 from __future__ import annotations
@@ -194,71 +198,33 @@ def _ml_values(lam: float, w: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _chi_values(family, x: np.ndarray, da: np.ndarray, db: np.ndarray,
-                width: float) -> np.ndarray:
-    from .identities import T1Family, T2Family, T3Family, T4Family, TNFamily
-
-    if isinstance(family, T1Family):
-        return (1.0 - family.x1 * x) ** (-family.alpha1) * (1.0 - family.x2 * x) ** (-family.alpha2)
-    if isinstance(family, T2Family):
-        return (1.0 - family.x1 * x) ** (-family.alpha1) * (1.0 - family.x2 * db) ** (-family.alpha2)
-    if isinstance(family, T3Family):
-        return family.u * x + family.v
-    if isinstance(family, T4Family):
-        return width + family.nu * da + family.mu * db
-    if isinstance(family, TNFamily):
-        out = np.ones_like(x)
-        for ai, xi in zip(family.alphas, family.xs):
-            out = out * (1.0 - xi * x) ** (-ai)
-        return out
-    raise DomainError(f"unknown chi/xi family {type(family).__name__}")
-
-
-def _xi_values(family, da: np.ndarray, db: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    from .identities import T4Family
-
-    if isinstance(family, T4Family):
-        return da * db / (chi * chi)
-    return da * db
-
-
-def _xi_max(spec) -> float:
-    """Upper bound for |xi| on the interval, used by the lam = 0 gate."""
-    from .identities import T4Family
-
-    width = spec.b - spec.a
-    if isinstance(spec.family, T4Family):
-        s = np.linspace(0.0, 1.0, 2001)
-        eta = 1.0 + spec.family.nu * s + spec.family.mu * (1.0 - s)
-        return float(np.max(s * (1.0 - s) / (eta * eta)))
-    return 0.25 * width * width
-
-
 def evaluate_integral_direct(spec, qpolicy: QuadraturePolicy | None = None,
                              spolicy: SeriesPolicy | None = None) -> QuadratureResult:
     """Direct quadrature of the normalized weighted-beta integral.
 
     Evaluates  (1/B(alpha, beta)) * integral over (a, b) of
     (t-a)^(alpha-1) (b-t)^(beta-1) chi(t)^gamma E_lam[p xi(t)] dt
-    with chi, xi taken from the spec's family.  The Mittag-Leffler factor
-    is computed at every node; real and imaginary parts share one node set.
+    with the node forms chi, xi of the spec's family.  The Mittag-Leffler
+    factor is computed at every node; real and imaginary parts share one
+    node set.
     """
     qpolicy = qpolicy or QuadraturePolicy()
     spec.validate()
+    family = spec.family
     lam = spec.lam
     p = complex(spec.p)
-    if lam == 0.0 and abs(p) * _xi_max(spec) >= 1.0:
-        raise DomainError("lam = 0 requires |p * xi(t)| < 1 on the whole interval")
     width = spec.b - spec.a
+    if lam == 0.0 and abs(p) * family.xi_max(width) >= 1.0:
+        raise DomainError("lam = 0 requires |p * xi(t)| < 1 on the whole interval")
     gamma = spec.gamma
 
     def f(x, da, db):
-        chi = _chi_values(spec.family, x, da, db, width)
+        chi = family.chi(x, da, db, width)
         core = da ** (spec.alpha - 1.0) * db ** (spec.beta - 1.0)
         if gamma != 0.0:
             core = core * chi ** gamma
         if p != 0.0:
-            core = core * _ml_values(lam, p * _xi_values(spec.family, da, db, chi))
+            core = core * _ml_values(lam, p * family.xi(da, db, chi))
         return core
 
     raw = _integrate_vec(f, spec.a, spec.b, qpolicy)

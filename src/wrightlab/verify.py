@@ -180,37 +180,11 @@ def _selected_families(cfg: GridConfig) -> list[str]:
 
 
 def _grid_points(cfg: GridConfig, family: str):
-    fam = FAMILIES[family]
-    override = cfg.grids.get(family)
-    if override is None:
-        if family == "theorem1-random":
-            # the seed parameter follows the run seed unless overridden
-            for point in iter_default_points(family):
-                point["seed"] = cfg.seed
-                yield point
-            return
-        yield from iter_default_points(family)
-        return
-    lists = []
-    for name in fam.param_names:
-        if name in override:
-            values = override[name]
-            if not isinstance(values, list):
-                values = [values]  # bare scalar means a one-point grid
-        else:
-            values = fam.defaults[name]
-        lists.append(values)
-
-    def rec(i, acc):
-        if i == len(fam.param_names):
-            yield dict(acc)
-            return
-        for value in lists[i]:
-            acc[fam.param_names[i]] = value
-            yield from rec(i + 1, acc)
-        acc.pop(fam.param_names[i], None)
-
-    yield from rec(0, {})
+    override = dict(cfg.grids.get(family, {}))
+    if family == "theorem1-random":
+        # the draws follow the run seed unless the grid sets the seed itself
+        override.setdefault("seed", cfg.seed)
+    return iter_default_points(family, override)
 
 
 def evaluate_point(family: str, raw_params: dict, tolerance: float) -> dict:

@@ -102,6 +102,24 @@ class TestRunner:
         text2 = json.dumps(run_verification(cfg), sort_keys=True)
         assert text1 == text2
 
+    def test_five_variable_lauricella_point_is_skipped(self):
+        cfg = GridConfig.from_dict({
+            "cases": ["lauricella"],
+            "grids": {"lauricella": {"alphas": [[0.1, 0.2, 0.3, 0.4, 0.5]],
+                                     "xs": [[0.1, 0.1, 0.1, 0.1, 0.1]],
+                                     "lam": [1.0], "p": [0.5]}},
+        })
+        report = run_verification(cfg)
+        assert [r["status"] for r in report["records"]] == ["skipped-domain"]
+        assert summarize(report)[1] == 0
+
+    def test_random_grid_override_keeps_run_seed(self):
+        grids = {"theorem1-random": {"draw": [0]}}
+        cfg = GridConfig.from_dict({"seed": 7, "cases": ["theorem1-random"], "grids": grids})
+        assert [r["params"] for r in run_verification(cfg)["records"]] == [{"draw": 0, "seed": 7}]
+        grids["theorem1-random"]["seed"] = [3]
+        assert [r["params"] for r in run_verification(cfg)["records"]] == [{"draw": 0, "seed": 3}]
+
     def test_seed_changes_random_draws(self):
         base = {"cases": ["theorem1-random"]}
         rep_a = run_verification(GridConfig.from_dict(dict(base, seed=1)))
@@ -149,6 +167,24 @@ class TestCli:
         assert main(["eval", "mittag_leffler", "lam=0", "z=2"]) == 2
         assert main(["eval", "not_a_function"]) == 1
         assert main(["eval", "mittag_leffler", "lam=1"]) == 1  # missing argument
+
+    @pytest.mark.parametrize("function", ["integral_direct", "lauricella_closed"])
+    def test_eval_five_variables_is_a_domain_error(self, function, capsys):
+        args = ["eval", function, "family=tn", "alpha=0.6", "beta=1.4",
+                "alphas=[0.1,0.2,0.3,0.4,0.5]", "xs=[0.1,0.1,0.1,0.1,0.1]", "lam=1", "p=0.5"]
+        if function == "lauricella_closed":
+            args.remove("family=tn")
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("domain error: ")
+
+    @pytest.mark.parametrize("params", [["gamma", "x=200"], ["pochhammer", "a=1e300", "n=5"],
+                                        ["beta", "x=1e-320", "y=1"]])
+    def test_eval_overflow_is_a_domain_error(self, params, capsys):
+        assert main(["eval"] + params) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("domain error: ") and "exceeds double range" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_eval_env_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("WRIGHTLAB_MAX_TERMS", "4")
