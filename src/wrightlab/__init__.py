@@ -4,6 +4,7 @@ and a quadrature-backed verification harness."""
 __version__ = "0.1.0"
 
 from .errors import (
+    CancellationError,
     DivergenceError,
     DomainError,
     EvaluationError,

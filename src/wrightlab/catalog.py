@@ -1,20 +1,21 @@
 """Named identity-case families and the built-in verification grid.
 
 Every family binds parameters to an IdentityCase whose closed-form series
-and quadrature oracle can be compared point by point.  The default grids
-cross a handful of parameter sets with the standard argument list
-{0, +-0.8, 1.5, 0.5+0.5i, -1.2i}, which mixes real and imaginary parts
-while keeping node-level Mittag-Leffler sums cheap.
+and quadrature oracle can be compared point by point; building the case
+validates its spec, which owns the domain.  The default grids cross a
+handful of parameter sets with the standard argument list {0, +-0.8, 1.5,
+0.5+0.5i, -1.2i}, which mixes real and imaginary parts while keeping
+node-level Mittag-Leffler sums cheap.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable
 
-from .errors import DomainError
 from .identities import (
     BinomialGen,
     GegenbauerGen,
@@ -37,43 +38,25 @@ from .identities import (
 )
 from .quadrature import evaluate_generating_integral_direct
 
-__all__ = ["CaseFamily", "FAMILIES", "family_names", "build_case", "iter_default_points"]
+__all__ = ["CaseFamily", "FAMILIES", "family_names", "iter_default_points"]
 
 DEFAULT_P_LIST = [0.0, 0.8, -0.8, 1.5, 0.5 + 0.5j, complex(0.0, -1.2)]
 
 
+@dataclass
 class CaseFamily:
-    """A parameterized identity with defaults, validity gate and builder."""
+    """A parameterized identity: per-parameter default value lists and a builder."""
 
-    def __init__(self, name: str, param_names: Sequence[str], defaults: dict,
-                 build: Callable[..., IdentityCase],
-                 validate: Callable[..., str | None] | None = None):
-        self.name = name
-        self.param_names = tuple(param_names)
-        self.defaults = defaults
-        self._build = build
-        self._validate = validate
+    name: str
+    defaults: dict
+    builder: Callable[..., IdentityCase]
 
-    def check(self, params: dict) -> str | None:
-        """Return a skip reason when params leave the validity region."""
-        if self._validate is not None:
-            reason = self._validate(**params)
-            if reason:
-                return reason
-        try:
-            self._build(**params)
-        except DomainError as exc:
-            return str(exc)
-        return None
+    @property
+    def param_names(self) -> tuple:
+        return tuple(self.defaults)
 
     def build(self, params: dict) -> IdentityCase:
-        return self._build(**params)
-
-
-def _lam0_gate(lam, p, xi_max):
-    if lam == 0.0 and abs(complex(p)) * xi_max >= 0.95:
-        return "lam = 0 needs |p| * max xi safely below 1"
-    return None
+        return self.builder(**params)
 
 
 # -- theorem families -------------------------------------------------------
@@ -94,6 +77,7 @@ def _euler_builder(name: str, spec_fn: Callable, closed_fn: Callable):
 def _gen_case(name, gen, r, s, delta, omega, lam, p, t, factors=()):
     spec = GeneratingIntegralSpec(gen, r, s, delta, omega, lam, complex(p), complex(t),
                                   tuple(factors))
+    spec.validate()
 
     def closed(pol):
         return generating_integral_closed_form(gen, r, s, delta, omega, lam, p, t,
@@ -156,130 +140,108 @@ def _register(family: CaseFamily):
 
 _register(CaseFamily(
     "theorem1",
-    ("alpha", "beta", "alpha1", "alpha2", "x1", "x2", "lam", "p"),
     {"alpha": [1.2, 0.6], "beta": [0.8], "alpha1": [0.5], "alpha2": [0.9],
      "x1": [0.3], "x2": [-0.25, 0.45], "lam": [0.5, 1.0, 2.0], "p": DEFAULT_P_LIST},
     _euler_builder("theorem1", t1_spec, closed_form_theorem1),
 ))
 _register(CaseFamily(
     "theorem2",
-    ("alpha", "beta", "alpha1", "alpha2", "x1", "x2", "lam", "p"),
     {"alpha": [1.5], "beta": [1.1], "alpha1": [0.4], "alpha2": [0.6],
      "x1": [0.2], "x2": [0.3], "lam": [0.5, 1.0], "p": DEFAULT_P_LIST},
     _euler_builder("theorem2", t2_spec, closed_form_theorem2),
 ))
 _register(CaseFamily(
     "theorem3",
-    ("alpha", "beta", "gamma", "a", "b", "u", "v", "lam", "p"),
     {"alpha": [0.9], "beta": [1.3], "gamma": [-0.7, 2.0], "a": [0.0], "b": [1.0],
      "u": [-0.4], "v": [1.0], "lam": [0.5, 1.0], "p": DEFAULT_P_LIST},
     _euler_builder("theorem3", t3_spec, closed_form_theorem3),
 ))
 _register(CaseFamily(
     "theorem3-interval",
-    ("alpha", "beta", "gamma", "a", "b", "u", "v", "lam", "p"),
     {"alpha": [0.9], "beta": [1.3], "gamma": [-0.7], "a": [-1.0], "b": [1.5],
      "u": [0.3], "v": [1.4], "lam": [1.0], "p": [0.0, 0.4, 0.2 + 0.2j]},
     _euler_builder("theorem3", t3_spec, closed_form_theorem3),
 ))
 _register(CaseFamily(
     "theorem4",
-    ("alpha", "beta", "a", "b", "nu", "mu", "lam", "p"),
     {"alpha": [1.2], "beta": [0.8], "a": [0.0], "b": [1.0, 2.5],
      "nu": [0.0, 0.5], "mu": [1.5], "lam": [0.0, 1.0, 2.0], "p": DEFAULT_P_LIST},
     _euler_builder("theorem4", t4_spec, closed_form_theorem4),
-    validate=lambda alpha, beta, a, b, nu, mu, lam, p: (
-        "need a < b" if not a < b else
-        _lam0_gate(lam, p, 0.25 / min(1.0 + nu, 1.0 + mu) ** 2)),
 ))
 _register(CaseFamily(
     "lauricella",
-    ("alpha", "beta", "alphas", "xs", "lam", "p"),
     {"alpha": [0.6], "beta": [1.4], "alphas": [[0.3, 0.5, 0.7]],
      "xs": [[0.2, -0.15, 0.3]], "lam": [1.0, 2.0], "p": DEFAULT_P_LIST},
     _euler_builder("lauricella", tn_spec, closed_form_lauricella),
 ))
 _register(CaseFamily(
     "ex4.1",
-    ("alpha", "alpha1", "x1", "lam", "p"),
     {"alpha": [0.9], "alpha1": [0.6], "x1": [0.3, -0.4], "lam": [1.0, 2.0],
      "p": DEFAULT_P_LIST},
     partial(application_case, "4.1"),
 ))
 _register(CaseFamily(
     "ex4.2",
-    ("alpha", "beta", "alpha1", "alpha2", "x1", "lam", "p"),
     {"alpha": [1.0], "beta": [1.4], "alpha1": [0.3], "alpha2": [0.4],
      "x1": [0.25], "lam": [0.5, 1.0], "p": DEFAULT_P_LIST},
     partial(application_case, "4.2"),
 ))
 _register(CaseFamily(
     "ex4.2-2f2",
-    ("alpha", "beta", "alpha1", "alpha2", "x1", "p"),
     {"alpha": [1.0], "beta": [1.4], "alpha1": [0.3], "alpha2": [0.4],
      "x1": [0.25], "p": DEFAULT_P_LIST},
     partial(application_case, "4.2-2f2"),
 ))
 _register(CaseFamily(
     "ex4.3",
-    ("alpha", "beta", "alpha1", "x1", "lam", "p"),
     {"alpha": [0.9], "beta": [1.3], "alpha1": [0.8], "x1": [0.45], "lam": [1.0],
      "p": DEFAULT_P_LIST},
     partial(application_case, "4.3"),
 ))
 _register(CaseFamily(
     "ex4.4",
-    ("alpha", "beta", "a", "b", "lam", "p"),
     {"alpha": [1.1], "beta": [0.9], "a": [0.0, -1.0], "b": [1.0, 3.0],
      "lam": [0.5, 1.0, 2.0], "p": DEFAULT_P_LIST},
     partial(application_case, "4.4"),
-    validate=lambda alpha, beta, a, b, lam, p: ("need a < b" if not a < b else None),
 ))
 _register(CaseFamily(
     "ex4.5",
-    ("alpha", "nu", "mu", "lam", "p"),
     {"alpha": [0.8, 1.6], "nu": [0.4], "mu": [1.1], "lam": [1.0, 2.0],
      "p": DEFAULT_P_LIST},
     partial(application_case, "4.5"),
 ))
 _register(CaseFamily(
     "gen-binomial",
-    ("a", "r", "s", "delta", "omega", "lam", "p", "t"),
     {"a": [0.7], "r": [0.8], "s": [2.1], "delta": [1.0], "omega": [1.0],
      "lam": [1.0, 2.0], "p": [0.0, 0.6, 0.3 + 0.3j], "t": [0.3, -0.25]},
     _build_gen_binomial,
 ))
 _register(CaseFamily(
     "gen-humbert",
-    ("a", "b", "x", "r", "s", "delta", "omega", "lam", "p", "t"),
     {"a": [0.8], "b": [1.7], "x": [0.6], "r": [0.8], "s": [2.1], "delta": [1.0],
      "omega": [1.0], "lam": [1.0], "p": [0.0, 0.6], "t": [0.3]},
     _build_gen_humbert,
 ))
 _register(CaseFamily(
     "gen-gegenbauer",
-    ("a", "r", "s", "delta", "omega", "lam", "p", "t"),
     {"a": [0.35], "r": [1.5], "s": [3.0], "delta": [1.0], "omega": [1.0],
      "lam": [1.0, 2.0], "p": [0.0, 0.6], "t": [0.3, 0.2 + 0.2j]},
     _build_gen_gegenbauer,
 ))
 _register(CaseFamily(
     "gen-symmetric",
-    ("a", "r", "omega", "lam", "p", "t"),
     {"a": [0.7], "r": [0.9], "omega": [1.0], "lam": [1.0], "p": [0.0, 0.6],
      "t": [0.25]},
     _build_gen_symmetric,
 ))
 _register(CaseFamily(
     "theorem6-binomial",
-    ("a", "alphas", "xs", "r", "s", "delta", "omega", "lam", "p", "t"),
     {"a": [0.5], "alphas": [[0.4, 0.7]], "xs": [[0.3, -0.2]], "r": [0.8], "s": [2.1],
      "delta": [1.0], "omega": [1.0], "lam": [1.0], "p": [0.0, 0.6], "t": [0.25]},
     _build_theorem6,
 ))
 _register(CaseFamily(
     "theorem1-random",
-    ("draw", "seed"),
     {"draw": [0, 1, 2], "seed": [0]},
     _build_theorem1_random,
 ))
@@ -287,12 +249,6 @@ _register(CaseFamily(
 
 def family_names() -> list[str]:
     return sorted(FAMILIES)
-
-
-def build_case(family: str, params: dict) -> IdentityCase:
-    if family not in FAMILIES:
-        raise DomainError(f"unknown case family {family!r}")
-    return FAMILIES[family].build(params)
 
 
 def iter_default_points(family: str, override: dict | None = None):

@@ -12,8 +12,8 @@ import json
 import sys
 
 from . import __version__
-from .catalog import build_case, family_names
 from .errors import (
+    CancellationError,
     DivergenceError,
     DomainError,
     EvaluationError,
@@ -39,7 +39,7 @@ from .identities import (
     tn_spec,
 )
 from .multivar import appell_f1, appell_f3, gegenbauer, humbert_phi2, lauricella_fd
-from .quadrature import QuadraturePolicy, evaluate_integral_direct, tanh_sinh_integrate
+from .quadrature import QuadraturePolicy, evaluate_integral_direct
 from .scalars import beta_fn, gamma_fn, log_gamma, pochhammer
 from .series import SeriesPolicy, SeriesResult, hyper_pfq, mittag_leffler, wright_psi, \
     wright_psi_normalized
@@ -229,7 +229,8 @@ def _cmd_eval(args) -> int:
     except (DomainError, PoleError, OverflowError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
-    except (DivergenceError, MaxTermsError, NonConvergenceError, EvaluationError) as exc:
+    except (CancellationError, DivergenceError, MaxTermsError, NonConvergenceError,
+            EvaluationError) as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return 3
     except (KeyError, TypeError, ValueError) as exc:
@@ -240,10 +241,7 @@ def _cmd_eval(args) -> int:
 def _cmd_verify(args) -> int:
     try:
         cfg = GridConfig.from_file(args.config) if args.config else GridConfig()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     if args.seed is not None:

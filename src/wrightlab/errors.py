@@ -17,6 +17,10 @@ class DivergenceError(WrightLabError):
     """Series terms grew past the divergence guard instead of decaying."""
 
 
+class CancellationError(WrightLabError):
+    """An accepted sum lost more digits to cancellation between its terms than allowed."""
+
+
 class MaxTermsError(WrightLabError):
     """The stopping rule was not satisfied within the term budget."""
 

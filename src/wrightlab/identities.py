@@ -9,10 +9,11 @@ quadrature.evaluate_integral_direct obtains by direct integration:
 for the chi/xi families below, plus the generating-function integrals
 (raw, without the beta normalization).
 
-Each family owns its domain checks (check, run by EulerIntegralSpec.validate)
-and its node forms chi and xi (used by the direct integral): every closed
-form validates by building its spec, and euler_case binds a spec to both
-routes.
+Each spec owns its domain: EulerIntegralSpec.validate runs the common
+checks, its family's check and the lam = 0 gate; GeneratingIntegralSpec
+adds the generator's series condition to quadrature.check_generating_domain.
+Every closed form validates by building its spec, and euler_case binds a
+spec to both routes, so both refuse the same points.
 
 The inner engine is always a 3-by-2 Wright series with weight pattern
 (1,1,1; 2, lam).  The closed forms evaluate it for blocks of outer indices
@@ -37,9 +38,10 @@ import numpy as np
 
 from .errors import DomainError
 from .multivar import _PochPowerStream, _StreamProduct
-from .quadrature import QuadratureResult, evaluate_integral_direct
+from .quadrature import QuadratureResult, check_generating_domain, evaluate_integral_direct
 from .scalars import _is_nonpositive_integer, pochhammer
 from .series import (
+    CANCELLATION_LIMIT,
     SeriesPolicy,
     SeriesResult,
     WrightSpec,
@@ -225,10 +227,11 @@ class EulerIntegralSpec:
             raise DomainError("need lam >= 0")
         if not self.a < self.b:
             raise DomainError("need a < b")
-        check = getattr(self.family, "check", None)
-        if check is None:
+        if not isinstance(self.family, _Family):
             raise DomainError(f"unknown family {type(self.family).__name__}")
-        check(self)
+        self.family.check(self)
+        if self.lam == 0.0 and abs(self.p) * self.family.xi_max(self.b - self.a) >= 1.0:
+            raise DomainError("lam = 0 requires |p * xi(t)| < 1 on the whole interval")
 
 
 def t1_spec(alpha, beta, alpha1, alpha2, x1, x2, lam, p) -> EulerIntegralSpec:
@@ -277,9 +280,9 @@ class _InnerTable:
     cumulative sum of logs along k, and the column term k ln|p| -
     ln Gamma(1 + lam k) is computed once per table.  Each row stops by the
     rule of sum_with_policy.  A row with a nonpositive parameter, a
-    non-finite partial sum or no stop within _ROW_TERMS terms is evaluated
-    by the scalar engine when the caller reaches it, so that engine raises
-    every pole, divergence and term-budget error.
+    non-finite partial sum, no stop within _ROW_TERMS terms or a cancelled
+    value is evaluated by the scalar engine when the caller reaches it, so
+    that engine raises every pole, divergence, term and cancellation error.
     """
 
     def __init__(self, lam: float, p: complex, policy: SeriesPolicy, raw: bool = False):
@@ -325,12 +328,14 @@ class _InnerTable:
             partial = np.cumsum(term, axis=1)
             mag = np.abs(term)
             small = np.cumsum(mag <= policy.rel_tol * np.abs(partial) + policy.abs_tol, axis=1)
+            abs_sum = np.cumsum(mag, axis=1)
         small[:, need:] -= small[:, :-need]  # small terms among the last `need`
         stop = (small >= need).argmax(axis=1)
         index = np.arange(len(good))
         value = partial[index, stop].astype(complex)
         # A non-finite term anywhere up to the stop leaves the partial sum non-finite.
         good &= (small[index, stop] >= need) & np.isfinite(value)
+        good &= abs_sum[index, stop] <= CANCELLATION_LIMIT * np.abs(value)
         tails = (need * mag[index, stop]).tolist()
         for i, (v, k) in enumerate(zip(value.tolist(), stop.tolist())):
             if good[i]:
@@ -558,16 +563,19 @@ class HumbertGen:
         self._tau_coeffs: list[float] = []
         self._poch_b: list[float] = [1.0]
 
+    def _poch_b_to(self, n: int) -> float:
+        """(b)_n, from a table of (b)_0, (b)_1, ... extended as needed."""
+        pb = self._poch_b
+        while len(pb) <= n:
+            pb.append(pb[-1] * (self.b + len(pb) - 1.0))
+        return pb[n]
+
     def coefficient(self, n: int) -> complex:
         c = self._coeffs
         while len(c) <= n:
             k = len(c)
-            pb = self._poch_b
-            while len(pb) <= k:
-                j = len(pb)
-                pb.append(pb[-1] * (self.b + j - 1.0))
             f11 = hyper_pfq([self.a], [self.b + k], self.x).value
-            c.append(pochhammer(self.a, k) / pb[k] * f11 / math.gamma(k + 1.0))
+            c.append(pochhammer(self.a, k) / self._poch_b_to(k) * f11 / math.gamma(k + 1.0))
         return c[n]
 
     def _extend_tau_coeffs(self, count: int):
@@ -579,12 +587,7 @@ class HumbertGen:
             pa_n = 1.0
             for j in range(n):
                 pa_n *= (self.a + j) / (j + 1.0)
-            # start of the m-sum: 1/(b)_n
-            pb = self._poch_b
-            while len(pb) <= n:
-                j = len(pb)
-                pb.append(pb[-1] * (self.b + j - 1.0))
-            term = 1.0 / pb[n]
+            term = 1.0 / self._poch_b_to(n)  # start of the m-sum: 1/(b)_n
             total = term
             m = 0
             while abs(term) > 1e-20 * max(1.0, abs(total)) and m < 600:
@@ -641,6 +644,11 @@ class GeneratingIntegralSpec:
     t: complex
     product_factors: tuple[tuple[float, float], ...] = ()
 
+    def validate(self):
+        check_generating_domain(self.r, self.s, self.delta, self.omega, self.lam, self.p,
+                                self.product_factors)
+        self.gen.check_argument(self.t)
+
 
 def generating_integral_closed_form(gen, r: float, s: float, delta: float, omega: float,
                                     lam: float, p: complex, t: complex,
@@ -654,19 +662,10 @@ def generating_integral_closed_form(gen, r: float, s: float, delta: float, omega
     multi-index sum is grouped by total degree.
     """
     policy = policy or SeriesPolicy()
-    if not s > r > 0.0:
-        raise DomainError(f"need s > r > 0, got r={r!r}, s={s!r}")
-    if delta < 0.0 or omega < 0.0 or delta + omega <= 0.0:
-        raise DomainError("need delta, omega >= 0 with delta + omega > 0")
-    if lam < 0.0:
-        raise DomainError("need lam >= 0")
     t = complex(t)
     p = complex(p)
-    gen.check_argument(t)
     factors = tuple(product_factors)
-    for _, xi in factors:
-        if abs(xi) >= 1.0:
-            raise DomainError("product factors need |x_i| < 1")
+    GeneratingIntegralSpec(gen, r, s, delta, omega, lam, p, t, factors).validate()
 
     if not factors:
         inner = _InnerTable(lam, p, policy, raw=True).ladder((r, s - r, s),
@@ -741,11 +740,10 @@ class IdentityCase:
     spec: object
     closed_form: Callable[[SeriesPolicy], SeriesResult]
     oracle: Callable
-    validity_note: str = ""
 
 
 def euler_case(name: str, spec: EulerIntegralSpec, closed: Callable[[SeriesPolicy], SeriesResult],
-               scale: float = 1.0, note: str = "") -> IdentityCase:
+               scale: float = 1.0) -> IdentityCase:
     """Validate spec and bind it to its closed form and to the direct-quadrature
     oracle, whose value is multiplied by scale."""
     spec.validate()
@@ -757,11 +755,10 @@ def euler_case(name: str, spec: EulerIntegralSpec, closed: Callable[[SeriesPolic
         return QuadratureResult(raw.value * scale, raw.err_estimate * abs(scale),
                                 raw.evaluations)
 
-    return IdentityCase(name, spec, closed, oracle, note)
+    return IdentityCase(name, spec, closed, oracle)
 
 
-def application_case(case_id, p: complex, policy: SeriesPolicy | None = None,
-                     **params) -> IdentityCase:
+def application_case(case_id, p: complex, **params) -> IdentityCase:
     """Build one of the specialized scenario cases 4.1 .. 4.5.
 
     Each case binds a fully-validated integral spec to the series route the
@@ -776,11 +773,11 @@ def application_case(case_id, p: complex, policy: SeriesPolicy | None = None,
         lam = params["lam"]
         if not (abs(x1) < 1.0 and x1 < 0.5):
             raise DomainError("case 4.1 needs |x1| < 1 and x1 < 1/2 so |x2| < 1")
+        # equal exponents and mirrored second argument
         x2 = x1 / (x1 - 1.0)
         return euler_case(
             "ex4.1", t1_spec(alpha, alpha, alpha1, alpha1, x1, x2, lam, p),
-            lambda pol: closed_form_theorem1(alpha, alpha, alpha1, alpha1, x1, x2, lam, p, pol),
-            note="equal exponents and mirrored second argument")
+            lambda pol: closed_form_theorem1(alpha, alpha, alpha1, alpha1, x1, x2, lam, p, pol))
     if cid == "4.2" or cid == "4.2-2f2":
         alpha = params["alpha"]
         beta = params["beta"]
@@ -790,6 +787,7 @@ def application_case(case_id, p: complex, policy: SeriesPolicy | None = None,
         lam = 1.0 if cid == "4.2-2f2" else params["lam"]
         if not abs(x1) < 1.0:
             raise DomainError("case 4.2 needs |x1| < 1")
+        # combined exponent with constant 1/(1-x1) weight
         combined = alpha1 + alpha2
         scale = 1.0 / (1.0 - x1)
 
@@ -817,7 +815,7 @@ def application_case(case_id, p: complex, policy: SeriesPolicy | None = None,
                 return sum_with_policy(terms(), pol)
 
         return euler_case("ex" + cid, t1_spec(alpha, beta, combined, 0.0, x1, 0.0, lam, p),
-                          closed, scale, "combined exponent with constant 1/(1-x1) weight")
+                          closed, scale)
     if cid == "4.3":
         alpha = params["alpha"]
         beta = params["beta"]
@@ -826,27 +824,27 @@ def application_case(case_id, p: complex, policy: SeriesPolicy | None = None,
         lam = params["lam"]
         if not abs(x1) < 1.0:
             raise DomainError("case 4.3 needs |x1| < 1")
+        # linear weight specialized to (1 - x1 t)^(-alpha1)
         return euler_case(
             "ex4.3", t3_spec(alpha, beta, -alpha1, 0.0, 1.0, -x1, 1.0, lam, p),
-            lambda pol: closed_form_theorem3(alpha, beta, -alpha1, 0.0, 1.0, -x1, 1.0, lam, p, pol),
-            note="linear weight specialized to (1 - x1 t)^(-alpha1)")
+            lambda pol: closed_form_theorem3(alpha, beta, -alpha1, 0.0, 1.0, -x1, 1.0, lam, p, pol))
     if cid == "4.4":
         alpha = params["alpha"]
         beta = params["beta"]
         a = params["a"]
         b = params["b"]
         lam = params["lam"]
+        # flat weight: value is the inner series over (b - a)
         return euler_case(
             "ex4.4", t4_spec(alpha, beta, a, b, 0.0, 0.0, lam, p),
-            lambda pol: closed_form_theorem4(alpha, beta, a, b, 0.0, 0.0, lam, p, pol),
-            note="flat weight: value is the inner series over (b - a)")
+            lambda pol: closed_form_theorem4(alpha, beta, a, b, 0.0, 0.0, lam, p, pol))
     if cid == "4.5":
         alpha = params["alpha"]
         nu = params["nu"]
         mu = params["mu"]
         lam = params["lam"]
+        # symmetric exponents on (0, 1)
         return euler_case(
             "ex4.5", t4_spec(alpha, alpha, 0.0, 1.0, nu, mu, lam, p),
-            lambda pol: closed_form_theorem4(alpha, alpha, 0.0, 1.0, nu, mu, lam, p, pol),
-            note="symmetric exponents on (0, 1)")
+            lambda pol: closed_form_theorem4(alpha, alpha, 0.0, 1.0, nu, mu, lam, p, pol))
     raise DomainError(f"unknown application case {case_id!r}")

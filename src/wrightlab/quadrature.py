@@ -14,8 +14,9 @@ round onto an endpoint, which limits attainable accuracy to roughly 1e-8
 when a singular factor is present.
 
 The direct integral of the Euler-type family knows no family by name: it
-validates the spec and calls the node forms chi, xi and the bound xi_max
-that each family of the identities module owns.
+validates the spec, which owns the domain, and calls the node forms chi
+and xi that each family of the identities module owns.  The domain of the
+generating-function integral is checked once, in check_generating_domain.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "QuadratureResult",
     "tanh_sinh_integrate",
     "evaluate_integral_direct",
+    "check_generating_domain",
     "evaluate_generating_integral_direct",
 ]
 
@@ -214,8 +216,6 @@ def evaluate_integral_direct(spec, qpolicy: QuadraturePolicy | None = None,
     lam = spec.lam
     p = complex(spec.p)
     width = spec.b - spec.a
-    if lam == 0.0 and abs(p) * family.xi_max(width) >= 1.0:
-        raise DomainError("lam = 0 requires |p * xi(t)| < 1 on the whole interval")
     gamma = spec.gamma
 
     def f(x, da, db):
@@ -233,6 +233,21 @@ def evaluate_integral_direct(spec, qpolicy: QuadraturePolicy | None = None,
     return QuadratureResult(raw.value / norm, raw.err_estimate / norm, raw.evaluations)
 
 
+def check_generating_domain(r: float, s: float, delta: float, omega: float, lam: float,
+                            p: complex, product_factors: Sequence[tuple[float, float]] = ()):
+    """Raise DomainError unless the generating-function integral converges."""
+    if not s > r > 0.0:
+        raise DomainError(f"need s > r > 0, got r={r!r}, s={s!r}")
+    if delta < 0.0 or omega < 0.0 or delta + omega <= 0.0:
+        raise DomainError("need delta, omega >= 0 with delta + omega > 0")
+    if lam < 0.0:
+        raise DomainError("need lam >= 0")
+    if any(abs(xi) >= 1.0 for _, xi in product_factors):
+        raise DomainError("product factors need |x_i| < 1")
+    if lam == 0.0 and abs(complex(p)) * 0.25 >= 1.0:
+        raise DomainError("lam = 0 requires |p| u(1-u) < 1 on (0, 1)")
+
+
 def evaluate_generating_integral_direct(gen, r: float, s: float, delta: float, omega: float,
                                         lam: float, p: complex, t: complex,
                                         product_factors: Sequence[tuple[float, float]] = (),
@@ -245,19 +260,9 @@ def evaluate_generating_integral_direct(gen, r: float, s: float, delta: float, o
     generator's closed node form.
     """
     qpolicy = qpolicy or QuadraturePolicy()
-    if not s > r > 0.0:
-        raise DomainError(f"need s > r > 0, got r={r!r}, s={s!r}")
-    if delta < 0.0 or omega < 0.0 or delta + omega <= 0.0:
-        raise DomainError("need delta, omega >= 0 with delta + omega > 0")
-    if lam < 0.0:
-        raise DomainError(f"lam must be >= 0, got {lam!r}")
-    for i, (_, xi) in enumerate(product_factors):
-        if abs(xi) >= 1.0:
-            raise DomainError(f"|x_{i + 1}| must be < 1 in product factors")
+    check_generating_domain(r, s, delta, omega, lam, p, product_factors)
     p = complex(p)
     t = complex(t)
-    if lam == 0.0 and abs(p) * 0.25 >= 1.0:
-        raise DomainError("lam = 0 requires |p| u(1-u) < 1 on (0, 1)")
 
     def f(u, da, db):
         tau = t * da ** delta * db ** omega

@@ -3,19 +3,19 @@
 All summation follows one explicit policy: ascending term index, each term
 assembled in log space from signed log-gamma products (the inner row tables
 of identities.py use log-space cumulative sums), a consecutive-small-terms
-stopping rule, and an operational divergence guard.  Identical inputs
-always consume an identical number of terms.
+stopping rule, an operational divergence guard and a cancellation check.
+Identical inputs always consume an identical number of terms.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DivergenceError, DomainError, MaxTermsError, PoleError
+from .errors import CancellationError, DivergenceError, DomainError, MaxTermsError, PoleError
 from .scalars import _is_nonpositive_integer, log_gamma_signed
 
 __all__ = [
@@ -30,6 +30,11 @@ __all__ = [
 ]
 
 MAX_TERMS_ENV = "WRIGHTLAB_MAX_TERMS"
+
+# A sum S of terms t_k carries a rounding error of about eps * sum |t_k|; an
+# accepted sum with sum |t_k| / |S| past this limit (error 1e-10 |S|) raises
+# CancellationError (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4).
+CANCELLATION_LIMIT = 1e-10 / sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,8 @@ def sum_with_policy(terms: Iterator[complex], policy: SeriesPolicy) -> SeriesRes
     """Sum successive terms under the stopping and divergence rules.
 
     The iterator is drawn at most policy.max_terms times; exhausting the
-    budget without meeting the stopping rule raises MaxTermsError.
+    budget without meeting the stopping rule raises MaxTermsError, and an
+    accepted sum that cancellation has emptied raises CancellationError.
     """
     rel = policy.rel_tol
     atol = policy.abs_tol
@@ -131,6 +137,7 @@ def sum_with_policy(terms: Iterator[complex], policy: SeriesPolicy) -> SeriesRes
     # Neumaier-compensated accumulation, separately for both components.
     sum_re = sum_im = comp_re = comp_im = 0.0
     peak = 0.0
+    abs_sum = 0.0
     consecutive = 0
     k = -1
     for k, term in enumerate(terms):
@@ -139,6 +146,7 @@ def sum_with_policy(terms: Iterator[complex], policy: SeriesPolicy) -> SeriesRes
         mag = abs(term)
         if math.isinf(mag) or math.isnan(mag):
             raise DivergenceError(f"term {k} is non-finite")
+        abs_sum += mag
         t_re = term.real
         new_re = sum_re + t_re
         if abs(sum_re) >= abs(t_re):
@@ -166,6 +174,8 @@ def sum_with_policy(terms: Iterator[complex], policy: SeriesPolicy) -> SeriesRes
         if mag <= rel * ap + atol:
             consecutive += 1
             if consecutive >= need:
+                if abs_sum > CANCELLATION_LIMIT * ap:
+                    raise CancellationError(f"sum of |terms| {abs_sum:.3e} cancels to {ap:.3e}")
                 return SeriesResult(partial, k + 1, mag * need)
         else:
             consecutive = 0

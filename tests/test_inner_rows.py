@@ -6,8 +6,11 @@ import random
 
 import pytest
 
+import wrightlab.identities
 from wrightlab import (
+    CancellationError,
     DivergenceError,
+    DomainError,
     MaxTermsError,
     PoleError,
     SeriesPolicy,
@@ -16,7 +19,7 @@ from wrightlab import (
     wright_psi,
     wright_psi_normalized,
 )
-from wrightlab.identities import _InnerTable
+from wrightlab.identities import _InnerTable, _lauricella_sum
 from wrightlab.scalars import log_gamma_signed
 
 LAMBDAS = (0.0, 0.5, 1.0, 2.3)
@@ -89,7 +92,27 @@ def test_lambda_zero_outside_the_disc_still_diverges():
     with pytest.raises(DivergenceError):
         next(rows)
     with pytest.raises(DivergenceError):
+        _lauricella_sum(1.2, 0.8, (0.5, 0.9), (0.3, -0.25), 0.0, 4.5, SeriesPolicy())
+    # the spec's lam = 0 gate refuses the point before any series runs
+    with pytest.raises(DomainError):
         closed_form_theorem1(1.2, 0.8, 0.5, 0.9, 0.3, -0.25, 0.0, 4.5)
+
+
+def test_row_lost_to_cancellation_raises_when_reached(monkeypatch):
+    # At lam = 2, p = -800 the row (1, 1, 2) stops after 34 terms, but its
+    # sum |t_k| is 1e6 times |S|; the row (1, 1, 30) above it is well conditioned.
+    def first_two():
+        rows = _InnerTable(2.0, -800.0, SeriesPolicy()).rows([1.0, 1.0], [1.0, 1.0], [30.0, 2.0])
+        return next(rows), rows
+
+    good, rows = first_two()
+    assert rel(good.value, scalar_row(1.0, 1.0, 30.0, 2.0, -800.0).value) <= 1e-14
+    with pytest.raises(CancellationError):
+        next(rows)
+    # without the limit the table itself would have accepted the row
+    monkeypatch.setattr(wrightlab.identities, "CANCELLATION_LIMIT", math.inf)
+    _, rows = first_two()
+    assert next(rows).terms_used < wrightlab.identities._ROW_TERMS
 
 
 def test_term_budget_still_caps_every_row(monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wrightlab import (
+    CancellationError,
     DivergenceError,
     DomainError,
     MaxTermsError,
@@ -175,6 +176,16 @@ class TestMittagLeffler:
             kappa = math.exp(abs(z) - z.real)
             tol = 1e-13 + 5e-15 * kappa
             assert rel(mittag_leffler(1.0, z).value, cmath.exp(z)) <= tol
+
+    def test_cancellation_below_the_limit_is_kept(self):
+        # sum |t_k| / |S| = exp(10) = 2.2e4 stays below the cancellation limit
+        assert rel(mittag_leffler(1.0, -5.0).value, math.exp(-5.0)) <= 1e-11
+
+    def test_cancellation_past_the_limit_raises(self):
+        # sum |t_k| = exp(30) = 1.1e13 against E_1(-30) = 9.4e-14: the terms
+        # cancel to 9.58e-3 in doubles, a value with no correct digit
+        with pytest.raises(CancellationError):
+            mittag_leffler(1.0, -30.0)
 
 
 @settings(max_examples=60, deadline=None)

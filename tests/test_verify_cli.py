@@ -1,9 +1,11 @@
 import json
 import math
+import pathlib
 import warnings
 
 import pytest
 
+from wrightlab import BinomialGen, DomainError, evaluate_generating_integral_direct
 from wrightlab.cli import main
 from wrightlab.verify import (
     ConfigError,
@@ -13,6 +15,12 @@ from wrightlab.verify import (
     run_verification,
     summarize,
 )
+
+
+# The default grid's records, recorded before the catalog and domain-check
+# refactor: one JSON array per line, [case, params, closed_form, oracle,
+# terms_used, node_evals, status].
+DEFAULT_GRID = pathlib.Path(__file__).resolve().parent / "data" / "default_grid.jsonl"
 
 
 @pytest.fixture(autouse=True)
@@ -113,6 +121,22 @@ class TestRunner:
         assert [r["status"] for r in report["records"]] == ["skipped-domain"]
         assert summarize(report)[1] == 0
 
+    def test_generating_point_outside_the_domain_is_skipped(self):
+        # s < r: the spec refuses the point when the case is built
+        cfg = GridConfig.from_dict({"cases": ["gen-binomial"],
+                                    "grids": {"gen-binomial": {"r": [3.0]}}})
+        report = run_verification(cfg)
+        assert len(report["records"]) == 12
+        assert {r["status"] for r in report["records"]} == {"skipped-domain"}
+        assert summarize(report)[1] == 0
+
+    def test_theorem4_lambda_zero_inside_xi_max_passes(self):
+        # |p| * xi_max = 3.9 / 4 < 1: inside the domain, both routes agree
+        cfg = GridConfig.from_dict({"cases": ["theorem4"], "grids": {"theorem4": {
+            "lam": [0.0], "p": [3.9], "nu": [0.0], "mu": [0.0], "b": [1.0]}}})
+        report = run_verification(cfg)
+        assert [r["status"] for r in report["records"]] == ["pass"]
+
     def test_random_grid_override_keeps_run_seed(self):
         grids = {"theorem1-random": {"draw": [0]}}
         cfg = GridConfig.from_dict({"seed": 7, "cases": ["theorem1-random"], "grids": grids})
@@ -185,6 +209,45 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("domain error: ") and "exceeds double range" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("args", [
+        ["theorem4", "alpha=1", "beta=1", "nu=0", "mu=0", "lam=0", "p=5"],
+        ["integral_direct", "family=t4", "alpha=1", "beta=1", "nu=0", "mu=0", "lam=0", "p=5"],
+        ["generating", "a=0.7", "r=0.8", "s=2.1", "delta=1", "omega=1", "lam=0", "p=5", "t=0.3"],
+    ])
+    def test_eval_lambda_zero_outside_the_disc_is_a_domain_error(self, args, capsys):
+        assert main(["eval"] + args) == 2
+        assert capsys.readouterr().err.startswith("domain error: lam = 0 requires")
+
+    def test_generating_oracle_refuses_lambda_zero_outside_the_disc(self):
+        with pytest.raises(DomainError):
+            evaluate_generating_integral_direct(BinomialGen(0.7), 0.8, 2.1, 1.0, 1.0, 0.0,
+                                                5.0, 0.3)
+
+    @pytest.mark.parametrize("args", [
+        ["mittag_leffler", "lam=1", "z=-30"],
+        ["theorem1", "alpha=1.2", "beta=0.8", "alpha1=0.5", "alpha2=0.9", "x1=0.3",
+         "x2=-0.25", "lam=0.5", "p=-40"],
+    ])
+    def test_eval_cancellation_exits_3(self, args, capsys):
+        assert main(["eval"] + args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("convergence error: sum of |terms|")
+
+    def test_verify_survives_a_point_that_overflows(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"cases": ["gen-humbert"],
+                                        "grids": {"gen-humbert": {"a": [1e300]}}}))
+        serial = tmp_path / "serial.json"
+        pooled = tmp_path / "pooled.json"
+        assert main(["verify", "--config", str(cfg_path), "--out", str(serial)]) == 4
+        assert main(["verify", "--config", str(cfg_path), "--out", str(pooled),
+                     "--jobs", "2"]) == 4
+        assert "Traceback" not in capsys.readouterr().err
+        records = json.loads(serial.read_text())["records"]
+        assert len(records) == 2 and {r["status"] for r in records} == {"error"}
+        assert serial.read_bytes() == pooled.read_bytes()
 
     def test_eval_env_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("WRIGHTLAB_MAX_TERMS", "4")
@@ -266,6 +329,16 @@ class TestCli:
         statuses = {r["status"] for r in report["records"]}
         assert statuses == {"pass"}
         assert set(report["meta"]) == {"seed", "version", "timestamp"}
+        # no drift: counts and statuses exactly, values within 1e-15 relative
+        golden = [json.loads(line) for line in DEFAULT_GRID.read_text().splitlines()]
+        assert len(report["records"]) == len(golden)
+        for record, (case, params, closed, oracle, terms, nodes, status) in zip(
+                report["records"], golden):
+            assert (record["case_name"], record["params"]) == (case, params)
+            assert (record["terms_used"], record["node_evals"], record["status"]) == (
+                terms, nodes, status)
+            for got, want in ((record["closed_form"], closed), (record["oracle"], oracle)):
+                assert abs(complex(*got) - complex(*want)) <= 1e-15 * abs(complex(*want))
 
     def test_verify_csv_output_format(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
