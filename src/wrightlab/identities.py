@@ -178,10 +178,9 @@ class T4Family(_Family):
         return da * db / (chi * chi)
 
     def xi_max(self, width: float) -> float:
-        # xi = s(1-s)/eta(s)^2 with s = (t-a)/(b-a): the width cancels
-        s = np.linspace(0.0, 1.0, 2001)
-        eta = 1.0 + self.nu * s + self.mu * (1.0 - s)
-        return float(np.max(s * (1.0 - s) / (eta * eta)))
+        # xi = u / ((1+nu) u + 1+mu)^2 with u = (t-a)/(b-t): the width cancels
+        # and the maximum lies at u = (1+mu)/(1+nu)
+        return 0.25 / ((1.0 + self.nu) * (1.0 + self.mu))
 
 
 @dataclass(frozen=True)

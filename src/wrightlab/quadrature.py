@@ -5,6 +5,13 @@ series evaluation is checked.  One doubling-level tanh-sinh rule covers
 all integrand families, including algebraic endpoint singularities with
 exponents down to about -0.95.
 
+Cost: an integrand call works on small node arrays, so its fixed Python
+and numpy overhead dominates.  The rule therefore evaluates the centre and
+every level up to one past min_levels, at both endpoints, in a single call
+(most integrals stop at that level) and each later level in one more call.
+The Mittag-Leffler factor of the Euler-type integrand sums its series over
+all nodes of a call at once, a block of terms per step.
+
 Endpoint accuracy: the transform places abscissae exponentially close to
 the endpoints, far below the resolution of the abscissa itself.  Integrands
 may therefore accept three arguments (x, dist_a, dist_b) and build their
@@ -89,15 +96,45 @@ class QuadratureResult:
     evaluations: int
 
 
-def _integrate_vec(f, a: float, b: float, policy: QuadraturePolicy) -> QuadratureResult:
-    """Core rule; f(x, dist_a, dist_b) vectorized over node arrays."""
-    if not a < b:
-        raise DomainError(f"need a < b, got ({a!r}, {b!r})")
+def _node_values(f, a: float, b: float, levels, center: bool = False) -> list:
+    """f at the nodes of these levels, both ends, in one call.
+
+    Returns one (abscissae, values) pair per level, each laid out as the
+    a-side nodes then the b-side nodes, preceded by the centre's pair when
+    center is set.
+    """
     width = b - a
     half = 0.5 * width
-    mid = np.array([a + half])
-    haf = np.array([half])
-    center = np.asarray(f(mid, haf, haf), dtype=complex)
+    parts = [(np.array([a + half]), np.array([half]), np.array([half]))] if center else []
+    for level in levels:
+        near = width * _level_nodes(level)[0]
+        far = width - near
+        parts.append((np.concatenate([a + near, b - near]), np.concatenate([near, far]),
+                      np.concatenate([far, near])))
+    x, da, db = (np.concatenate(column) for column in zip(*parts))
+    values = np.asarray(f(x, da, db), dtype=complex)
+    ends = np.cumsum([len(part[0]) for part in parts])
+    return [(part[0], values[end - len(part[0]):end]) for part, end in zip(parts, ends)]
+
+
+def _integrate_vec(f, a: float, b: float, policy: QuadraturePolicy) -> QuadratureResult:
+    """Core rule; f(x, dist_a, dist_b) vectorized over node arrays.
+
+    The loop cannot stop before level min_levels, and most integrands stop
+    one level later, so one call of f evaluates the centre and levels 0 to
+    min_levels + 1 at both ends; each later level is one more call.  Nodes
+    of the speculative level min_levels + 1 are neither counted in
+    `evaluations` nor allowed to fail the integral unless the loop reaches
+    them: if the batched call raises, it is repeated without that level.
+    """
+    if not a < b:
+        raise DomainError(f"need a < b, got ({a!r}, {b!r})")
+    half = 0.5 * (b - a)
+    try:
+        (_, center), *batch = _node_values(
+            f, a, b, range(min(policy.min_levels + 1, policy.max_levels) + 1), center=True)
+    except Exception:  # f raises again here if a node the loop needs caused it
+        (_, center), *batch = _node_values(f, a, b, range(policy.min_levels + 1), center=True)
     if not np.all(np.isfinite(center)):
         raise EvaluationError(f"integrand non-finite at x={a + half!r}")
     evaluations = 1
@@ -105,16 +142,13 @@ def _integrate_vec(f, a: float, b: float, policy: QuadraturePolicy) -> Quadratur
     value_prev = None
     err = math.inf
     for level in range(0, policy.max_levels + 1):
-        sigma, wbase = _level_nodes(level)
-        near = width * sigma
-        far = width - near
-        fa = np.asarray(f(a + near, near, far), dtype=complex)
-        fb = np.asarray(f(b - near, far, near), dtype=complex)
-        evaluations += 2 * len(sigma)
-        if not (np.all(np.isfinite(fa)) and np.all(np.isfinite(fb))):
-            bad = np.argmax(~(np.isfinite(fa) & np.isfinite(fb)))
-            raise EvaluationError(f"integrand non-finite near x={(a + near[bad])!r}")
-        trapezoid = trapezoid + np.sum(wbase * (fa + fb))
+        x, values = batch[level] if level < len(batch) else _node_values(f, a, b, [level])[0]
+        evaluations += len(values)
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise EvaluationError(f"integrand non-finite near x={float(x[bad][0])!r}")
+        fa, fb = values[:len(values) // 2], values[len(values) // 2:]
+        trapezoid = trapezoid + np.sum(_level_nodes(level)[1] * (fa + fb))
         value = 2.0 ** (-level) * half * trapezoid
         if value_prev is not None:
             err = abs(value - value_prev)
@@ -168,9 +202,24 @@ def tanh_sinh_integrate(f: Callable, a: float, b: float,
 # Node-level Mittag-Leffler values
 # ---------------------------------------------------------------------------
 
+# The node Mittag-Leffler series: terms n < _ML_TERMS, summed _ML_BLOCK at a time.
+_ML_TERMS = 2000
+_ML_BLOCK = 16
+
 
 def _ml_values(lam: float, w: np.ndarray) -> np.ndarray:
-    """E_lam at an array of arguments; elementary forms for lam in {0, 1, 2}."""
+    """E_lam at a 1-d array of arguments; elementary forms for lam in {0, 1, 2}.
+
+    The series is summed _ML_BLOCK terms at a time.  The powers of w fill
+    the block row by row, the partial sums are a cumsum down the block, and
+    the term peaks and the running scale are block reductions, so every
+    value is the same floating-point operation as in a term-by-term loop
+    (np.cumprod is not: its accumulate loop rounds complex products
+    differently).  The sum stops at the first n whose largest term
+    |w^n| / Gamma(lam n + 1) is at most 1e-17 of the largest partial sum so
+    far, and raises if a term before that overflows; the block's later
+    terms are discarded.
+    """
     if lam == 0.0:
         return 1.0 / (1.0 - w)
     if lam == 1.0:
@@ -180,18 +229,24 @@ def _ml_values(lam: float, w: np.ndarray) -> np.ndarray:
     total = np.ones_like(w, dtype=complex)
     power = np.ones_like(w, dtype=complex)
     scale = 1.0
-    # An overflowing power shows up as a non-finite peak in the same pass.
+    # Overflow past the stopping term is expected and discarded.
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, 2000):
-            power = power * w
-            coeff = math.exp(-log_gamma(lam * n + 1.0))
-            total = total + power * coeff
-            peak = np.max(np.abs(power)) * coeff
-            if not math.isfinite(peak):
-                raise EvaluationError(f"node Mittag-Leffler series overflowed at n={n}")
-            scale = max(scale, float(np.max(np.abs(total))))
-            if peak <= 1e-17 * scale:
-                return total
+        for first in range(1, _ML_TERMS, _ML_BLOCK):
+            ns = range(first, min(first + _ML_BLOCK, _ML_TERMS))
+            coeff = np.array([math.exp(-log_gamma(lam * n + 1.0)) for n in ns])
+            powers = np.empty((len(ns), len(w)), dtype=complex)
+            for k in range(len(ns)):
+                power = np.multiply(power, w, out=powers[k])
+            totals = np.cumsum(np.vstack([total[None], powers * coeff[:, None]]), axis=0)[1:]
+            peaks = np.abs(powers).max(axis=1) * coeff
+            scales = np.maximum.accumulate(np.append(scale, np.abs(totals).max(axis=1)))[1:]
+            done = ~np.isfinite(peaks) | (peaks <= 1e-17 * scales)
+            if done.any():
+                k = int(np.argmax(done))
+                if not math.isfinite(peaks[k]):
+                    raise EvaluationError(f"node Mittag-Leffler series overflowed at n={ns[k]}")
+                return totals[k]
+            total, scale = totals[-1], scales[-1]
     raise EvaluationError("Mittag-Leffler node series did not converge")
 
 

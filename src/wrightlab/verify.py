@@ -19,7 +19,6 @@ import csv
 import fnmatch
 import io
 import json
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -253,6 +252,8 @@ def run_verification(cfg: GridConfig) -> dict:
         for point in _grid_points(cfg, family):
             tasks.append((family, point, tol))
     if cfg.jobs > 1 and len(tasks) > 1:
+        import multiprocessing  # only a pool run pays for its import
+
         with multiprocessing.Pool(cfg.jobs) as pool:
             records = pool.map(_eval_star, tasks)
     else:

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from wrightlab import (
@@ -148,6 +149,21 @@ class TestTheorem4:
                 reference = value
             else:
                 assert rel(value, reference) <= 1e-12
+
+    def test_xi_max_is_the_attained_maximum(self):
+        # the lam = 0 gate's bound: no node of a fine grid exceeds it, and xi
+        # reaches it at (t-a)/(b-t) = (1+mu)/(1+nu)
+        rng = random.Random(9)
+        s = np.linspace(0.0, 1.0, 200001)
+        for _ in range(50):
+            nu, mu = rng.uniform(-0.999, 5.0), rng.uniform(-0.999, 5.0)
+            family = t4_spec(1.0, 1.0, 0.0, 1.0, nu, mu, 0.0, 0.0).family
+            bound = family.xi_max(1.0)
+            grid = family.xi(s, 1.0 - s, family.chi(s, s, 1.0 - s, 1.0))
+            assert grid.max() <= bound * (1.0 + 1e-12)
+            peak = (1.0 + mu) / (2.0 + nu + mu)
+            at_peak = family.xi(peak, 1.0 - peak, family.chi(peak, peak, 1.0 - peak, 1.0))
+            assert rel(at_peak, bound) <= 1e-12
 
     def test_symmetric_reduction_is_1f1(self):
         # alpha = beta on (0, 1) at lam = 1 reduces to a confluent value

@@ -17,7 +17,8 @@ from wrightlab import (
     t4_spec,
     tanh_sinh_integrate,
 )
-from wrightlab.quadrature import _integrate_vec
+from wrightlab.quadrature import _integrate_vec, _level_nodes, _ml_values
+from wrightlab.scalars import log_gamma
 
 
 def rel(a, b):
@@ -174,3 +175,77 @@ def test_node_series_overflow_is_a_typed_error_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EvaluationError, match="overflowed at n="):
             evaluate_integral_direct(spec)
+
+
+def test_non_finite_node_names_the_bad_end():
+    # the only non-finite nodes lie within 1e-3 of b
+    with pytest.raises(EvaluationError, match=r"near x=0\.999\d*$"):
+        tanh_sinh_integrate(lambda x, da, db: np.inf if db < 1e-3 else 1.0, 0.0, 1.0)
+
+
+def _ml_reference(lam, w):
+    """The node series term by term: the loop _ml_values sums in blocks."""
+    total = np.ones_like(w, dtype=complex)
+    power = np.ones_like(w, dtype=complex)
+    scale = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, 2000):
+            power = power * w
+            coeff = math.exp(-log_gamma(lam * n + 1.0))
+            total = total + power * coeff
+            peak = np.max(np.abs(power)) * coeff
+            if not math.isfinite(peak):
+                raise EvaluationError(f"node Mittag-Leffler series overflowed at n={n}")
+            scale = max(scale, float(np.max(np.abs(total))))
+            if peak <= 1e-17 * scale:
+                return total
+    raise EvaluationError("Mittag-Leffler node series did not converge")
+
+
+def test_ml_values_match_the_term_by_term_reference():
+    rng = np.random.default_rng(11)
+    outcomes = set()
+    for lam in (0.3, 0.5, 0.8, 1.5, 2.5):
+        for size in (1, 2, 16, 17, *rng.integers(3, 193, 4), 193):
+            radius = rng.uniform(0.0, 8.0) * np.sqrt(rng.uniform(0.0, 1.0, size))
+            w = radius * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size))
+            try:
+                expected = _ml_reference(lam, w)
+            except EvaluationError as failure:
+                with pytest.raises(EvaluationError, match=f"^{failure}$"):
+                    _ml_values(lam, w)
+                outcomes.add("overflow")
+            else:
+                assert (_ml_values(lam, w) == expected).all()
+                outcomes.add("value")
+    assert outcomes == {"overflow", "value"}
+
+
+def _unless_speculative(value, integrand):
+    """integrand on (0, 1), except on level-4 nodes, where it raises or is `value`."""
+    speculative = _level_nodes(4)[0]
+
+    def f(x, da, db):
+        hit = np.isin(np.minimum(da, db), speculative)
+        if hit.any() and value is None:
+            raise EvaluationError("failed on a speculative node")
+        return np.where(hit, value, integrand(x))
+    return f
+
+
+@pytest.mark.parametrize("value", [None, np.nan])
+def test_speculative_level_cannot_fail_a_converged_integral(value):
+    # min_levels = 3 stops at level 3: the level-4 nodes are evaluated with
+    # the batch but neither counted nor allowed to fail the integral
+    result = _integrate_vec(_unless_speculative(value, lambda x: 1.0 + x), 0.0, 1.0,
+                            QuadraturePolicy())
+    assert rel(result.value, 1.5) <= 1e-14
+    assert result.evaluations == 97
+
+
+@pytest.mark.parametrize("value", [None, np.nan])
+def test_speculative_level_fails_an_integral_that_needs_it(value):
+    # the kink at 0.3 keeps the level differences above tolerance at level 3
+    f = _unless_speculative(value, lambda x: np.abs(x - 0.3))
+    with pytest.raises(EvaluationError, match="speculative|non-finite"):
+        _integrate_vec(f, 0.0, 1.0, QuadraturePolicy())

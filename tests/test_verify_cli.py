@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -214,6 +217,10 @@ class TestCli:
         ["theorem4", "alpha=1", "beta=1", "nu=0", "mu=0", "lam=0", "p=5"],
         ["integral_direct", "family=t4", "alpha=1", "beta=1", "nu=0", "mu=0", "lam=0", "p=5"],
         ["generating", "a=0.7", "r=0.8", "s=2.1", "delta=1", "omega=1", "lam=0", "p=5", "t=0.3"],
+        # |p| xi_max = 1.07 at (t-a)/(b-t) = 3602; a 2,001-point grid read 8% low there
+        ["theorem4", "alpha=1", "beta=1", "nu=-0.9987", "mu=3.683", "lam=0", "p=0.026"],
+        ["integral_direct", "family=t4", "alpha=1", "beta=1", "nu=-0.9987", "mu=3.683", "lam=0",
+         "p=0.026"],
     ])
     def test_eval_lambda_zero_outside_the_disc_is_a_domain_error(self, args, capsys):
         assert main(["eval"] + args) == 2
@@ -286,6 +293,14 @@ class TestCli:
                      {"lauricella": {"alphas": [0.3]}}, {"theorem1": {"x1": "0.1"}}):
             with pytest.raises(ConfigError, match="is not"):
                 GridConfig.from_dict({"grids": grid})
+
+    def test_import_leaves_multiprocessing_unloaded(self):
+        # only a pool run (--jobs N) imports multiprocessing and its socket modules
+        code = ("import sys, wrightlab.verify, wrightlab.cli; "
+                "sys.exit('multiprocessing' in sys.modules)")
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_eval_node_overflow_exits_3_without_warnings(self, capsys):
         with warnings.catch_warnings():
