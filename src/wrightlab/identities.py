@@ -15,11 +15,16 @@ adds the generator's series condition to quadrature.check_generating_domain.
 Every closed form validates by building its spec, and euler_case binds a
 spec to both routes, so both refuse the same points.
 
-The inner engine is always a 3-by-2 Wright series with weight pattern
-(1,1,1; 2, lam).  The closed forms evaluate it for blocks of outer indices
-at once, as log-space tables that stop each row by the caller's series
-policy (_InnerTable); rows the table cannot settle, and T4's single value,
-go through the scalar engine.
+Every closed form but T4's is an outer sum: outer coefficients times one
+inner value per outer index.  The outer coefficients are built as arrays,
+a block of indices at a time, by the helpers of multivar (Pochhammer power
+streams, their truncated product and running Pochhammer ratios), and the
+terms go one at a time to sum_with_policy.  The inner engine is always a
+3-by-2 Wright series with weight pattern (1,1,1; 2, lam).  The closed forms
+evaluate it for blocks of outer indices at once, as log-space tables that
+stop each row by the caller's series policy (_InnerTable); an inner value
+is only taken when the sum reaches its index, and rows the table cannot
+settle, and T4's single value, go through the scalar engine.
 
 On a general interval the linear-weight family (T3) picks up the factors
 (b-a)^(alpha+beta-1) and (a*u+v)^gamma, and the series argument becomes
@@ -37,7 +42,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .multivar import _PochPowerStream, _StreamProduct
+from .multivar import BLOCK, _coefficients, _in_blocks, _poch_power, _product, _running
 from .quadrature import QuadratureResult, check_generating_domain, evaluate_integral_direct
 from .scalars import _is_nonpositive_integer, pochhammer
 from .series import (
@@ -265,8 +270,6 @@ def tn_spec(alpha, beta, alphas, xs, lam, p) -> EulerIntegralSpec:
 # Table rows that do not stop within this many terms go to the scalar
 # engine; it stays below index 50, where the engine's divergence guard starts.
 _ROW_TERMS = 48
-# Consecutive outer indices tabulated together along a ladder.
-_LADDER_BLOCK = 48
 
 
 class _InnerTable:
@@ -346,14 +349,21 @@ class _InnerTable:
 
     def ladder(self, start: tuple, step: tuple) -> Iterator[SeriesResult]:
         """Rows start + d * step for d = 0, 1, ..., tabulated a block of d at a time."""
-        for first in itertools.count(0, _LADDER_BLOCK):
-            d = np.arange(first, first + _LADDER_BLOCK, dtype=float)
+        for first in itertools.count(0, BLOCK):
+            d = np.arange(first, first + BLOCK, dtype=float)
             yield from self.rows(*(x + dx * d for x, dx in zip(start, step)))
 
 
 # ---------------------------------------------------------------------------
 # Closed forms for the integral family
 # ---------------------------------------------------------------------------
+
+
+def _diagonal_sum(u, v, rows: Iterator[SeriesResult]) -> complex:
+    """sum_m u[m] v[d-m] row_m over one diagonal d = len(u) - 1, added in order of m."""
+    values = np.array([row.value for row in rows])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.add.accumulate(u * v[::-1] * values)[-1].item()
 
 
 def _lauricella_sum(alpha: float, beta: float, alphas: Sequence[float], xs: Sequence[float],
@@ -365,19 +375,11 @@ def _lauricella_sum(alpha: float, beta: float, alphas: Sequence[float], xs: Sequ
     streams times (alpha)_d / (alpha+beta)_d times one inner value, taken
     from a ladder of inner rows tabulated a block of degrees at a time.
     """
-    product = _StreamProduct([_PochPowerStream(xi, ai) for ai, xi in zip(alphas, xs)])
+    coefficients = _coefficients(np.multiply, lambda d: (alpha + d) / (alpha + beta + d),
+                                 [(xi, (ai,)) for ai, xi in zip(alphas, xs)])
     inner = _InnerTable(lam, complex(p), policy).ladder((alpha, beta, alpha + beta),
                                                         (1.0, 0.0, 1.0))
-
-    def degrees():
-        ratio = 1.0  # (alpha)_d / (alpha+beta)_d
-        d = 0
-        while True:
-            yield ratio * product.coeff(d) * next(inner).value
-            ratio *= (alpha + d) / (alpha + beta + d)
-            d += 1
-
-    return sum_with_policy(degrees(), policy)
+    return sum_with_policy((c * row.value for c, row in zip(coefficients, inner)), policy)
 
 
 def closed_form_theorem1(alpha: float, beta: float, alpha1: float, alpha2: float,
@@ -398,32 +400,24 @@ def closed_form_theorem2(alpha: float, beta: float, alpha1: float, alpha2: float
     """Series value of the T2 integral.
 
     Here the inner Wright parameters shift with m and n separately, so each
-    diagonal needs d + 1 inner values, tabulated as one block of rows.  At
-    p = 0 this collapses to the F3 double series.
+    diagonal needs d + 1 inner values, tabulated as one block of rows when
+    the sum reaches it.  At p = 0 this collapses to the F3 double series.
     """
     policy = policy or SeriesPolicy()
     t2_spec(alpha, beta, alpha1, alpha2, x1, x2, lam, p).validate()
-    p = complex(p)
-    fx = _PochPowerStream(x1, alpha, alpha1)
-    gy = _PochPowerStream(x2, beta, alpha2)
-    inner = _InnerTable(lam, p, policy)
+    inner = _InnerTable(lam, complex(p), policy)
 
-    def diagonals():
-        inv = 1.0  # 1 / (alpha+beta)_d
-        d = 0
-        while True:
-            fx.extend_to(d)
-            gy.extend_to(d)
-            m = np.arange(d + 1.0)
-            rows = inner.rows(alpha + m, beta + (d - m), alpha + beta + d)
-            total = 0.0 + 0.0j
-            for m, row in enumerate(rows):
-                total += fx.values[m] * gy.values[d - m] * row.value
-            yield inv * total
-            inv /= alpha + beta + d
-            d += 1
+    def block(start, count):
+        fx = _poch_power(x1, (alpha, alpha1), count)
+        gy = _poch_power(x2, (beta, alpha2), count)
+        inv = _running(np.divide, alpha + beta + np.arange(count - 1.0)).tolist()
+        return [(d, inv[d], fx[:d + 1], gy[:d + 1]) for d in range(start, count)]
 
-    return sum_with_policy(diagonals(), policy)
+    def diagonal(d, inv, fx, gy):  # inv = 1 / (alpha+beta)_d
+        m = np.arange(d + 1.0)
+        return inv * _diagonal_sum(fx, gy, inner.rows(alpha + m, beta + (d - m), alpha + beta + d))
+
+    return sum_with_policy(itertools.starmap(diagonal, _in_blocks(block)), policy)
 
 
 def closed_form_theorem3(alpha: float, beta: float, gamma: float, a: float, b: float,
@@ -444,19 +438,11 @@ def closed_form_theorem3(alpha: float, beta: float, gamma: float, a: float, b: f
     w = -u * width / auv
     inner = _InnerTable(lam, argument, policy).ladder((alpha, beta, alpha + beta),
                                                       (1.0, 0.0, 1.0))
-
-    def terms():
-        coeff = 1.0
-        m = 0
-        while True:
-            if coeff == 0.0:
-                yield 0.0 + 0.0j  # stays zero: the ladder is never reached again
-            else:
-                yield prefactor * coeff * next(inner).value
-            coeff *= (-gamma + m) * (alpha + m) * w / ((alpha + beta + m) * (m + 1.0))
-            m += 1
-
-    return sum_with_policy(terms(), policy)
+    coefficients = _coefficients(
+        np.multiply, lambda m: (-gamma + m) * (alpha + m) * w / ((alpha + beta + m) * (m + 1.0)))
+    # a zero coefficient stays zero, so the ladder is never reached again
+    terms = (prefactor * c * next(inner).value if c != 0.0 else 0.0j for c in coefficients)
+    return sum_with_policy(terms, policy)
 
 
 def closed_form_theorem4(alpha: float, beta: float, a: float, b: float,
@@ -680,23 +666,21 @@ def generating_integral_closed_form(gen, r: float, s: float, delta: float, omega
 
         return sum_with_policy(terms(), policy)
 
-    product = _StreamProduct([_PochPowerStream(xi, ai) for ai, xi in factors])
-    t_powers = [1.0 + 0.0j]
     inner = _InnerTable(lam, p, policy, raw=True)
 
+    def block(start, count):
+        product = _product([_poch_power(xi, (ai,), count) for ai, xi in factors], count)
+        return [product[:d + 1] for d in range(start, count)]
+
     def degree_terms():
-        d = 0
-        while True:
-            while len(t_powers) <= d:
-                t_powers.append(t_powers[-1] * t)
+        weights = []  # gen.coefficient(n) t^n, one more per degree reached
+        tn = 1.0 + 0.0j
+        for d, product in enumerate(_in_blocks(block)):
+            weights.append(gen.coefficient(d) * tn)
+            tn *= t
             n = np.arange(d + 1.0)
-            rows = inner.rows(r + delta * n + (d - n), s - r + omega * n,
-                              s + (delta + omega) * n + (d - n))
-            total = 0.0 + 0.0j
-            for n, row in enumerate(rows):
-                total += gen.coefficient(n) * t_powers[n] * product.coeff(d - n) * row.value
-            yield total
-            d += 1
+            yield _diagonal_sum(weights, product, inner.rows(
+                r + delta * n + (d - n), s - r + omega * n, s + (delta + omega) * n + (d - n)))
 
     return sum_with_policy(degree_terms(), policy)
 
@@ -799,19 +783,12 @@ def application_case(case_id, p: complex, **params) -> IdentityCase:
             def closed(pol):
                 # Same single sum with the inner value routed through the
                 # quarter-argument 2F2 reduction instead of the Wright engine.
-                def terms():
-                    coeff = 1.0
-                    m = 0
-                    while True:
-                        two_f2 = hyper_pfq(
-                            [alpha + m, beta],
-                            [0.5 * (alpha + beta + m), 0.5 * (alpha + beta + m + 1.0)],
-                            p / 4.0, pol).value
-                        yield scale * coeff * two_f2
-                        coeff *= (alpha + m) * (combined + m) * x1 / ((alpha + beta + m) * (m + 1.0))
-                        m += 1
-
-                return sum_with_policy(terms(), pol)
+                coefficients = _coefficients(np.multiply, lambda m: (
+                    (alpha + m) * (combined + m) * x1 / ((alpha + beta + m) * (m + 1.0))))
+                terms = (scale * c * hyper_pfq(
+                    [alpha + m, beta], [0.5 * (alpha + beta + m), 0.5 * (alpha + beta + m + 1.0)],
+                    p / 4.0, pol).value for m, c in enumerate(coefficients))
+                return sum_with_policy(terms, pol)
 
         return euler_case("ex" + cid, t1_spec(alpha, beta, combined, 0.0, x1, 0.0, lam, p),
                           closed, scale)

@@ -1,19 +1,24 @@
 """Double and multiple hypergeometric series, summed by total degree.
 
 The two-variable series (F1, F3, Phi2) and the n-variable FD series are
-summed diagonal by diagonal, with the stopping rule of the series engine
-applied to whole-diagonal contributions.  The per-index coefficient
-streams (c)_m x^m / m! are built by stable one-step updates; the outer
-Pochhammer ratio (a)_d / (g)_d likewise.  max_terms caps the total degree,
+summed degree by degree, with the stopping rule of the series engine
+applied to whole-degree contributions.  Their coefficients are built as
+arrays, a block of degrees at a time (_in_blocks): each per-variable
+stream (c)_m x^m / m! by its one-step update (_poch_power), the degree-d
+coefficients of a product of streams by pairwise convolution (_product),
+and the outer Pochhammer ratio as a running product or quotient of its
+one-step factors (_running).  The closed forms of identities.py build
+their outer sums from the same helpers.  max_terms caps the total degree,
 not the per-index range.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .errors import DivergenceError, DomainError, PoleError
+import numpy as np
+
+from .errors import DomainError, PoleError
 from .scalars import _is_nonpositive_integer
 from .series import SeriesPolicy, SeriesResult, sum_with_policy
 
@@ -25,66 +30,71 @@ __all__ = [
     "gegenbauer",
 ]
 
-
-def _require_unit_disc(**points):
-    for name, value in points.items():
-        if abs(value) >= 1.0:
-            raise DomainError(f"|{name}| must be < 1, got {abs(value)!r}")
+# Outer terms built per block at first, doubled per block after; also the
+# number of inner rows identities._InnerTable tabulates along a ladder.
+BLOCK = 48
 
 
-def _check_finite(value: complex, what: str) -> complex:
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise DivergenceError(f"{what} overflowed before the stopping rule was met")
-    return value
+def _require_unit_disc(xs: Sequence[complex]):
+    for i, x in enumerate(xs):
+        if abs(x) >= 1.0:
+            raise DomainError(f"|x_{i + 1}| must be < 1, got {abs(x)!r}")
 
 
-class _PochPowerStream:
-    """Coefficients c[m] = (a_1)_m ... (a_k)_m x^m / m! of the params a_i, extended on demand."""
-
-    __slots__ = ("x", "params", "values")
-
-    def __init__(self, x: complex, *params: float):
-        self.x = complex(x)
-        self.params = params
-        self.values = [1.0 + 0.0j]
-
-    def extend_to(self, m: int):
-        v = self.values
-        while len(v) <= m:
-            k = len(v)
-            c = v[-1]
-            for a in self.params:
-                c = c * (a + k - 1.0)
-            v.append(c * self.x / k)
+def _poch_power(x: complex, params: Sequence[float], count: int) -> np.ndarray:
+    """The first count coefficients (a_1)_m ... (a_k)_m x^m / m!, by one-step updates."""
+    c = 1.0
+    out = [c]
+    for k in range(1, count):
+        for a in params:
+            c = c * (a + k - 1.0)
+        c = c * x / k
+        out.append(c)
+    return np.array(out)
 
 
-def _convolve_at(f: list, g: list, d: int) -> complex:
-    return sum(f[m] * g[d - m] for m in range(d + 1))
+def _product(streams: Sequence[np.ndarray], count: int) -> np.ndarray:
+    """The first count degree coefficients of the product of the coefficient arrays."""
+    out = streams[0]
+    for stream in streams[1:]:
+        out = np.convolve(out, stream)[:count]
+    return out
 
 
-class _StreamProduct:
-    """Coefficients of the product of coefficient streams, by total degree.
+def _running(op: np.ufunc, steps: np.ndarray) -> np.ndarray:
+    """1, 1 op s_0, (1 op s_0) op s_1, ...: a one-step *= or /= update, in order."""
+    return op.accumulate(np.r_[1.0, steps])
 
-    partial[i] holds the coefficients of streams[0] * ... * streams[i+1],
-    extended by one pairwise convolution per degree; coeff(d) may be asked
-    for any degree, in any order.
+
+def _in_blocks(block: Callable[[int, int], list]) -> Iterator:
+    """The items of block(start, count) for count = BLOCK, 2 BLOCK, 4 BLOCK, ...
+
+    block(start, count) returns the list of items start .. count - 1 with
+    its numpy work done.  Items past the stopping degree are built but never
+    used, so overflow and invalid values in that work stay silent; a used
+    non-finite term is caught by sum_with_policy.
     """
+    start, count = 0, BLOCK
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):
+            items = block(start, count)
+        yield from items
+        start, count = count, 2 * count
 
-    __slots__ = ("streams", "partial")
 
-    def __init__(self, streams: list):
-        self.streams = streams
-        self.partial: list[list[complex]] = [[] for _ in streams[1:]]
+def _coefficients(op: np.ufunc, step: Callable[[np.ndarray], np.ndarray],
+                  streams: Sequence[tuple[complex, tuple]] = ()) -> Iterator:
+    """R_d C_d for d = 0, 1, ...: R is the running op of step(d) (the outer
+    Pochhammer ratio), C_d the degree-d coefficient of the product of the
+    (x, params) streams, or 1 without streams."""
+    def block(start, count):
+        ratio = _running(op, step(np.arange(count - 1.0)))
+        if streams:
+            ratio = ratio * _product([_poch_power(x, params, count) for x, params in streams],
+                                     count)
+        return ratio[start:].tolist()
 
-    def coeff(self, d: int) -> complex:
-        for s in self.streams:
-            s.extend_to(d)
-        prev = self.streams[0].values
-        for stream, part in zip(self.streams[1:], self.partial):
-            while len(part) <= d:
-                part.append(_convolve_at(prev, stream.values, len(part)))
-            prev = part
-        return prev[d]
+    return _in_blocks(block)
 
 
 def appell_f1(alpha: float, beta1: float, beta2: float, gamma: float,
@@ -102,21 +112,11 @@ def appell_f3(alpha1: float, alpha2: float, beta1: float, beta2: float, gamma: f
     policy = policy or SeriesPolicy()
     if _is_nonpositive_integer(gamma):
         raise PoleError(f"F3 lower parameter {gamma!r} is a nonpositive integer")
-    _require_unit_disc(x=x, y=y)
-    fx = _PochPowerStream(x, alpha1, beta1)
-    gy = _PochPowerStream(y, alpha2, beta2)
-
-    def diagonals() -> Iterator[complex]:
-        inv_gamma = 1.0  # 1 / (gamma)_d
-        d = 0
-        while True:
-            fx.extend_to(d)
-            gy.extend_to(d)
-            yield _check_finite(inv_gamma * _convolve_at(fx.values, gy.values, d), "F3 diagonal")
-            inv_gamma /= gamma + d
-            d += 1
-
-    return sum_with_policy(diagonals(), policy)
+    _require_unit_disc((x, y))
+    # 1 / (gamma)_d times the degree-d coefficient
+    terms = _coefficients(np.divide, lambda d: gamma + d,
+                          [(x, (alpha1, beta1)), (y, (alpha2, beta2))])
+    return sum_with_policy(terms, policy)
 
 
 def humbert_phi2(b1: float, b2: float, c: float, x: complex, y: complex,
@@ -125,20 +125,8 @@ def humbert_phi2(b1: float, b2: float, c: float, x: complex, y: complex,
     policy = policy or SeriesPolicy()
     if _is_nonpositive_integer(c):
         raise PoleError(f"Phi2 lower parameter {c!r} is a nonpositive integer")
-    fx = _PochPowerStream(x, b1)
-    gy = _PochPowerStream(y, b2)
-
-    def diagonals() -> Iterator[complex]:
-        inv_c = 1.0
-        d = 0
-        while True:
-            fx.extend_to(d)
-            gy.extend_to(d)
-            yield inv_c * _convolve_at(fx.values, gy.values, d)
-            inv_c /= c + d
-            d += 1
-
-    return sum_with_policy(diagonals(), policy)
+    terms = _coefficients(np.divide, lambda d: c + d, [(x, (b1,)), (y, (b2,))])
+    return sum_with_policy(terms, policy)
 
 
 def lauricella_fd(alpha: float, alphas: Sequence[float], gamma: float,
@@ -146,7 +134,7 @@ def lauricella_fd(alpha: float, alphas: Sequence[float], gamma: float,
     """n-variable FD series, summed by total degree M = m_1 + ... + m_n.
 
     The inner sum over compositions of M is the degree-M coefficient of the
-    product of the n per-variable streams (_StreamProduct).
+    product of the n per-variable streams, times (alpha)_M / (gamma)_M.
     """
     policy = policy or SeriesPolicy()
     if len(alphas) != len(xs):
@@ -155,20 +143,10 @@ def lauricella_fd(alpha: float, alphas: Sequence[float], gamma: float,
         raise DomainError("lauricella_fd needs at least one variable")
     if _is_nonpositive_integer(gamma):
         raise PoleError(f"FD lower parameter {gamma!r} is a nonpositive integer")
-    for i, xi in enumerate(xs):
-        if abs(xi) >= 1.0:
-            raise DomainError(f"|x_{i + 1}| must be < 1, got {abs(xi)!r}")
-    product = _StreamProduct([_PochPowerStream(xi, a) for a, xi in zip(alphas, xs)])
-
-    def degrees() -> Iterator[complex]:
-        ratio = 1.0  # (alpha)_M / (gamma)_M
-        d = 0
-        while True:
-            yield _check_finite(ratio * product.coeff(d), "FD degree")
-            ratio *= (alpha + d) / (gamma + d)
-            d += 1
-
-    return sum_with_policy(degrees(), policy)
+    _require_unit_disc(xs)
+    terms = _coefficients(np.multiply, lambda d: (alpha + d) / (gamma + d),
+                          [(xi, (a,)) for a, xi in zip(alphas, xs)])
+    return sum_with_policy(terms, policy)
 
 
 def gegenbauer(n: int, a: float, x: float) -> float:

@@ -45,6 +45,8 @@ _FIXED_COLUMNS_TAIL = [
     "closed_form_re", "closed_form_im", "oracle_re", "oracle_im",
     "abs_err", "rel_err", "terms_used", "node_evals", "status",
 ]
+_RECORD_KEYS = ("case_name", "params", "closed_form", "oracle", "abs_err", "rel_err",
+                "terms_used", "node_evals", "status")
 
 
 class ConfigError(ValueError):
@@ -292,12 +294,21 @@ def write_report(report: dict, path: str, fmt: str = "json"):
 
 
 def load_report(path: str) -> dict:
+    """Read a JSON or CSV report; ValueError unless it has the record layout
+    that report_to_csv reads."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return json.loads(text)
-    return csv_to_report(text)
+    report = json.loads(text) if text.lstrip().startswith("{") else csv_to_report(text)
+    records = report.get("records")
+    if not isinstance(records, list):
+        raise ValueError("report needs a 'records' list")
+    for i, record in enumerate(records):
+        if not isinstance(record, dict) or not isinstance(record.get("params"), dict):
+            raise ValueError(f"record {i} is not an object with a 'params' object")
+        missing = [key for key in _RECORD_KEYS if key not in record]
+        if missing:
+            raise ValueError(f"record {i} lacks {', '.join(missing)}")
+    return report
 
 
 def _param_columns(records: list) -> list[str]:

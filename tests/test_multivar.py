@@ -1,18 +1,27 @@
+import cmath
 import math
 import random
 
 import pytest
 
 from wrightlab import (
+    BinomialGen,
+    DivergenceError,
     DomainError,
     PoleError,
     appell_f1,
     appell_f3,
+    closed_form_theorem1,
+    closed_form_theorem2,
+    closed_form_theorem3,
     gegenbauer,
+    generating_integral_closed_form,
     humbert_phi2,
     hyper_pfq,
     lauricella_fd,
 )
+from wrightlab.cli import main
+from wrightlab.multivar import _poch_power, _product
 from wrightlab.scalars import log_pochhammer_signed, pochhammer
 
 
@@ -203,3 +212,133 @@ class TestGegenbauer:
                     break
             closed = (1.0 - 2.0 * x * t + t * t) ** (-a)
             assert rel(total, closed) <= 1e-10
+
+
+# -- outer coefficient arrays --------------------------------------------------
+
+
+class _PochPowerStream:
+    """Reference: the coefficients (a_1)_m ... (a_k)_m x^m / m!, one complex
+    one-step update at a time."""
+
+    def __init__(self, x, *params):
+        self.x = complex(x)
+        self.params = params
+        self.values = [1.0 + 0.0j]
+
+    def extend_to(self, m):
+        v = self.values
+        while len(v) <= m:
+            k = len(v)
+            c = v[-1]
+            for a in self.params:
+                c = c * (a + k - 1.0)
+            v.append(c * self.x / k)
+
+
+def _convolve_at(f, g, d):
+    """Reference: the degree-d coefficient of the product f g, summed in order."""
+    return sum(f[m] * g[d - m] for m in range(d + 1))
+
+
+class TestCoefficientArrays:
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_poch_power_is_the_one_step_update(self, kind):
+        rng = random.Random(11)
+        for _ in range(60):
+            x = rng.uniform(-0.99, 0.99)
+            if kind == "complex":
+                x = complex(x, rng.uniform(-0.99, 0.99))
+            params = tuple(rng.uniform(-2.5, 3.0) for _ in range(rng.randint(0, 3)))
+            count = rng.randint(1, 300)
+            reference = _PochPowerStream(x, *params)
+            reference.extend_to(count - 1)
+            got = _poch_power(x, params, count).tolist()
+            assert len(got) == count
+            for c, r in zip(got, reference.values):
+                # past an overflow both are non-finite, the reference as inf + nan j
+                assert complex(c) == r if cmath.isfinite(r) else not cmath.isfinite(c)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_product_is_the_cauchy_product(self, n):
+        rng = random.Random(n)
+        for count in (1, 2, 47, 48, 49, 150):
+            xs = [complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.3, 0.3)) for _ in range(n)]
+            params = [(rng.uniform(0.1, 2.0),) for _ in range(n)]
+            got = _product([_poch_power(x, a, count) for x, a in zip(xs, params)], count)
+            assert len(got) == count
+            ref = [_PochPowerStream(x, *a) for x, a in zip(xs, params)]
+            for r in ref:
+                r.extend_to(count - 1)
+            partial = ref[0].values
+            for r in ref[1:]:
+                partial = [_convolve_at(partial, r.values, d) for d in range(count)]
+            scale = [sum(abs(c) for c in r.values[:count]) for r in ref]
+            bound = 1e-15 * math.prod(scale)
+            assert all(abs(g - w) <= bound for g, w in zip(got.tolist(), partial))
+
+
+def _theorem6(a, alphas, xs, r, s, delta, omega, lam, p, t):
+    return generating_integral_closed_form(BinomialGen(a), r, s, delta, omega, lam, p, t,
+                                           tuple(zip(alphas, xs)))
+
+
+# Sums that stop next to the edges of the first two coefficient blocks (48
+# and 96 terms), with the term count and value of the term-by-term sum.
+BLOCK_EDGE_POINTS = [
+    (appell_f1, (0.48, 0.74, 0.77, 2.57, 0.6, 0.0), 48, 1.1093515579621425),
+    (appell_f1, (1.89, 1.98, 1.92, 1.48, 0.68, -0.52), 95, 7.013866693191745),
+    (appell_f3, (1.3, 1.47, 0.22, 1.26, 1.08, 0.53, 0.18), 48, 1.6698336221723888),
+    (appell_f3, (0.32, 1.29, 1.3, 0.57, 0.95, 0.73, 0.47), 95, 2.647795890071555),
+    (lauricella_fd, (1.12, [0.63, 1.33, 1.38], 1.89, [0.52, 0.43, 0.04]), 48, 2.13180462995185),
+    (lauricella_fd, (1.86, [1.24, 0.89, 1.15], 2.61, [0.32, -0.74, 0.28]), 95,
+     1.2478443278576286),
+    (closed_form_theorem1, (0.41, 1.06, 0.43, 1.22, 0.59, -0.09, 0.5, -0.69), 49,
+     0.9714407663819711),
+    (closed_form_theorem1, (1.58, 2.0, 1.4, 0.34, 0.76, 0.06, 2.0, 0.98), 97, 2.273084314791064),
+    (closed_form_theorem3, (2.12, 1.93, -1.12, 0.0, 1.0, -0.55, 1.0, 1.0, -0.17), 48,
+     1.4671183066096967),
+    (closed_form_theorem3, (0.94, 1.06, -0.21, 0.0, 1.0, -0.79, 1.0, 1.0, 0.5), 97,
+     1.2226602615620328),
+    (_theorem6, (0.66, [0.67, 1.29], [0.56, 0.25], 0.8, 2.1, 1.0, 1.0, 1.0, 0.37, 0.74), 48,
+     1.6286110283521802),
+    (_theorem6, (0.7, [0.6, 1.37], [0.77, 0.43], 0.8, 2.1, 1.0, 1.0, 1.0, 0.65, 0.61), 97,
+     2.1798596090114724),
+]
+
+
+@pytest.mark.parametrize("fn, args, terms, value", BLOCK_EDGE_POINTS,
+                         ids=[f"{e[0].__name__}-{e[2]}" for e in BLOCK_EDGE_POINTS])
+def test_sums_across_block_edges(fn, args, terms, value):
+    result = fn(*args)
+    assert result.terms_used == terms
+    assert rel(result.value, value) <= 1e-15
+
+
+class TestOverflowPastTheStop:
+    """Coefficients built past the stopping degree may overflow; with every
+    warning an error here, that must stay silent."""
+
+    def test_theorem2_stops_before_its_stream_overflows(self):
+        # the x1 stream overflows from m = 170, in the block after the stop
+        result = closed_form_theorem2(1.5, 1.1, 0.4, 0.6, 0.85, 0.3, 1.0, 0.5)
+        assert result.terms_used == 145
+        assert rel(result.value, 1.635769371310084) <= 1e-15
+
+    def test_f3_overflow_is_a_divergence(self):
+        with pytest.raises(DivergenceError):
+            appell_f3(0.5, 0.7, 0.3, 0.4, 1.3, 0.9, 0.9)
+
+    def test_theorem2_overflow_is_a_divergence(self):
+        with pytest.raises(DivergenceError):
+            closed_form_theorem2(1.5, 1.1, 0.4, 0.6, 0.99, 0.99, 1.0, 0.5)
+
+    @pytest.mark.parametrize("args", [
+        ["appell_f3", "alpha1=0.5", "alpha2=0.7", "beta1=0.3", "beta2=0.4", "gamma=1.3",
+         "x=0.9", "y=0.9"],
+        ["theorem2", "alpha=1.5", "beta=1.1", "alpha1=0.4", "alpha2=0.6", "x1=0.99",
+         "x2=0.99", "lam=1", "p=0.5"],
+    ])
+    def test_cli_exit_3(self, args, capsys):
+        assert main(["eval"] + args) == 3
+        assert capsys.readouterr().err.startswith("convergence error: ")

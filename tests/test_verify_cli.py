@@ -337,6 +337,16 @@ class TestCli:
     def test_report_missing_file(self, tmp_path):
         assert main(["report", str(tmp_path / "absent.json"), "--format", "csv"]) == 1
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("content", [{"records": 5}, {"meta": {}}, {"records": [{}]}])
+    def test_report_of_wrong_shape(self, tmp_path, capsys, content, fmt):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(content))
+        out = tmp_path / "out"
+        assert main(["report", str(path), "--format", fmt, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("report error: ")
+        assert not out.exists()
+
     def test_full_default_grid_passes(self, tmp_path):
         out = tmp_path / "full.json"
         assert main(["verify", "--out", str(out)]) == 0
