@@ -83,9 +83,9 @@ def _gen_case(name, gen, r, s, delta, omega, lam, p, t, factors=()):
         return generating_integral_closed_form(gen, r, s, delta, omega, lam, p, t,
                                                factors, pol)
 
-    def oracle(qpolicy=None, spolicy=None):
+    def oracle(qpolicy=None):
         return evaluate_generating_integral_direct(gen, r, s, delta, omega, lam, p, t,
-                                                   factors, qpolicy, spolicy)
+                                                   factors, qpolicy)
 
     return IdentityCase(name=name, spec=spec, closed_form=closed, oracle=oracle)
 

@@ -39,7 +39,7 @@ from .identities import (
     tn_spec,
 )
 from .multivar import appell_f1, appell_f3, gegenbauer, humbert_phi2, lauricella_fd
-from .quadrature import QuadraturePolicy, evaluate_integral_direct
+from .quadrature import evaluate_integral_direct
 from .scalars import beta_fn, gamma_fn, log_gamma, pochhammer
 from .series import SeriesPolicy, SeriesResult, hyper_pfq, mittag_leffler, wright_psi, \
     wright_psi_normalized
@@ -207,10 +207,8 @@ _EVALUATORS = {
     "theorem4": (_closed_form("t4"), _print_series),
     "lauricella_closed": (_closed_form("tn"), _print_series),
     "generating": (_generating, _print_series),
-    "integral_direct": (
-        lambda kv, pol: evaluate_integral_direct(_euler_spec_from_kv(kv), QuadraturePolicy(),
-                                                 pol),
-        _print_quadrature),
+    "integral_direct": (lambda kv, pol: evaluate_integral_direct(_euler_spec_from_kv(kv)),
+                        _print_quadrature),
 }
 
 EVAL_FUNCTIONS = list(_EVALUATORS)

@@ -37,7 +37,6 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError, NonConvergenceError
 from .scalars import log_gamma
-from .series import SeriesPolicy
 
 __all__ = [
     "QuadraturePolicy",
@@ -76,7 +75,9 @@ def _level_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class QuadraturePolicy:
-    """Level-doubling control: stop when successive levels agree."""
+    """Level-doubling control: stop when successive levels agree to within
+    target_abs_tol times the same rule applied to |f|, a scale that neither
+    cancellation nor a tiny value can shrink (Bailey, Jeyabalan & Li 2005)."""
 
     target_abs_tol: float = 1e-12
     max_levels: int = 12
@@ -124,8 +125,9 @@ def _integrate_vec(f, a: float, b: float, policy: QuadraturePolicy) -> Quadratur
     one level later, so one call of f evaluates the centre and levels 0 to
     min_levels + 1 at both ends; each later level is one more call.  Nodes
     of the speculative level min_levels + 1 are neither counted in
-    `evaluations` nor allowed to fail the integral unless the loop reaches
-    them: if the batched call raises, it is repeated without that level.
+    `evaluations` or the error scale nor allowed to fail the integral unless
+    the loop reaches them: if the batched call raises, it is repeated
+    without that level.
     """
     if not a < b:
         raise DomainError(f"need a < b, got ({a!r}, {b!r})")
@@ -139,6 +141,7 @@ def _integrate_vec(f, a: float, b: float, policy: QuadraturePolicy) -> Quadratur
         raise EvaluationError(f"integrand non-finite at x={a + half!r}")
     evaluations = 1
     trapezoid = 0.5 * math.pi * center[0]  # h-free running node sum
+    l1 = 0.5 * math.pi * abs(center[0])  # the same sum of w |f|, the scale of the error
     value_prev = None
     err = math.inf
     for level in range(0, policy.max_levels + 1):
@@ -148,11 +151,14 @@ def _integrate_vec(f, a: float, b: float, policy: QuadraturePolicy) -> Quadratur
         if bad.any():
             raise EvaluationError(f"integrand non-finite near x={float(x[bad][0])!r}")
         fa, fb = values[:len(values) // 2], values[len(values) // 2:]
-        trapezoid = trapezoid + np.sum(_level_nodes(level)[1] * (fa + fb))
+        wbase = _level_nodes(level)[1]
+        trapezoid = trapezoid + (wbase * (fa + fb)).sum()  # skips np.sum's ~1.5 us wrapper
+        l1 = l1 + wbase @ (np.abs(fa) + np.abs(fb))
         value = 2.0 ** (-level) * half * trapezoid
         if value_prev is not None:
             err = abs(value - value_prev)
-            if level >= policy.min_levels and err <= policy.target_abs_tol * max(1.0, abs(value)):
+            if (level >= policy.min_levels
+                    and err <= policy.target_abs_tol * 2.0 ** (-level) * half * l1):
                 return QuadratureResult(complex(value), err, evaluations)
         value_prev = value
     raise NonConvergenceError(
@@ -255,8 +261,7 @@ def _ml_values(lam: float, w: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def evaluate_integral_direct(spec, qpolicy: QuadraturePolicy | None = None,
-                             spolicy: SeriesPolicy | None = None) -> QuadratureResult:
+def evaluate_integral_direct(spec, qpolicy: QuadraturePolicy | None = None) -> QuadratureResult:
     """Direct quadrature of the normalized weighted-beta integral.
 
     Evaluates  (1/B(alpha, beta)) * integral over (a, b) of
@@ -303,11 +308,10 @@ def check_generating_domain(r: float, s: float, delta: float, omega: float, lam:
         raise DomainError("lam = 0 requires |p| u(1-u) < 1 on (0, 1)")
 
 
-def evaluate_generating_integral_direct(gen, r: float, s: float, delta: float, omega: float,
-                                        lam: float, p: complex, t: complex,
-                                        product_factors: Sequence[tuple[float, float]] = (),
-                                        qpolicy: QuadraturePolicy | None = None,
-                                        spolicy: SeriesPolicy | None = None) -> QuadratureResult:
+def evaluate_generating_integral_direct(
+        gen, r: float, s: float, delta: float, omega: float, lam: float, p: complex,
+        t: complex, product_factors: Sequence[tuple[float, float]] = (),
+        qpolicy: QuadraturePolicy | None = None) -> QuadratureResult:
     """Direct quadrature of the generating-function integral.
 
     Integrates u^(r-1) (1-u)^(s-r-1) G(x, t u^delta (1-u)^omega)

@@ -143,7 +143,11 @@ def sum_with_policy(terms: Iterator[complex], policy: SeriesPolicy) -> SeriesRes
     for k, term in enumerate(terms):
         if k >= policy.max_terms:
             break
-        mag = abs(term)
+        # abs of a complex with finite parts raises where its modulus overflows
+        try:
+            mag = abs(term)
+        except OverflowError:
+            mag = math.inf
         if math.isinf(mag) or math.isnan(mag):
             raise DivergenceError(f"term {k} is non-finite")
         abs_sum += mag
@@ -162,7 +166,10 @@ def sum_with_policy(terms: Iterator[complex], policy: SeriesPolicy) -> SeriesRes
             comp_im += (t_im - new_im) + sum_im
         sum_im = new_im
         partial = complex(sum_re + comp_re, sum_im + comp_im)
-        ap = abs(partial)
+        try:
+            ap = abs(partial)
+        except OverflowError:
+            ap = math.inf
         if math.isinf(ap) or math.isnan(ap):
             raise DivergenceError(f"partial sum is non-finite at term {k}")
         if ap > peak:
@@ -332,23 +339,13 @@ def hyper_pfq(num: Sequence[float], den: Sequence[float], z: complex,
     return sum_with_policy(_pfq_terms(tuple(num), tuple(den), z, policy.max_terms), policy)
 
 
-def _mittag_leffler_terms(lam: float, z: complex, max_terms: int) -> Iterator[complex]:
-    phase = _Phase(complex(z))
-    lgam = log_gamma_signed
-    for n in range(max_terms):
-        log_mag, _ = lgam(lam * n + 1.0)
-        yield phase.term(n, -log_mag, 1)
-        phase.advance()
-
-
 def mittag_leffler(lam: float, z: complex, policy: SeriesPolicy | None = None) -> SeriesResult:
-    """Mittag-Leffler sum_n z^n / Gamma(lam*n + 1) for real lam >= 0.
+    """Mittag-Leffler sum_n z^n / Gamma(lam*n + 1), the Wright series ((1, 1); (1, lam)).
 
-    lam = 0 reduces to the geometric series, so |z| < 1 is required there.
+    lam >= 0; lam = 0 reduces to the geometric series, so |z| < 1 is required there.
     """
-    policy = policy or SeriesPolicy()
     if lam < 0.0:
         raise DomainError(f"mittag_leffler weight must be >= 0, got {lam!r}")
     if lam == 0.0 and abs(z) >= 1.0:
         raise DomainError(f"mittag_leffler(0, z) needs |z| < 1, got |z| = {abs(z)!r}")
-    return sum_with_policy(_mittag_leffler_terms(lam, complex(z), policy.max_terms), policy)
+    return wright_psi(WrightSpec(((1.0, 1.0),), ((1.0, lam),)), z, policy)

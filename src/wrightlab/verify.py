@@ -26,7 +26,6 @@ from datetime import datetime, timezone
 from . import __version__
 from .catalog import FAMILIES, family_names, iter_default_points
 from .errors import DomainError
-from .quadrature import QuadraturePolicy
 from .series import SeriesPolicy
 
 __all__ = [
@@ -203,16 +202,15 @@ def evaluate_point(family: str, raw_params: dict, tolerance: float) -> dict:
         "node_evals": None,
         "status": "error",
     }
-    spolicy = SeriesPolicy.from_env()
-    qpolicy = QuadraturePolicy()
+    policy = SeriesPolicy.from_env()
     try:
         try:
             case = FAMILIES[family].build(params)
         except DomainError:
             record["status"] = "skipped-domain"
             return record
-        closed = case.closed_form(spolicy)
-        oracle = case.oracle(qpolicy, spolicy)
+        closed = case.closed_form(policy)
+        oracle = case.oracle()
         abs_err = abs(closed.value - oracle.value)
         rel_err = abs_err / max(abs(oracle.value), REL_ERR_FLOOR)
         record.update(

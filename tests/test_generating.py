@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from wrightlab import (
@@ -14,7 +15,9 @@ from wrightlab import (
     WrightSpec,
     beta_fn,
     evaluate_generating_integral_direct,
+    gegenbauer,
     generating_integral_closed_form,
+    humbert_phi2,
     wright_psi,
 )
 
@@ -66,6 +69,26 @@ def test_humbert_dual_evaluation():
     direct = evaluate_generating_integral_direct(gen, 0.8, 2.1, 1.0, 1.0, 1.0, 0.6, 0.3,
                                                  (), TIGHT).value
     assert rel(closed, direct) <= 1e-8
+
+
+@pytest.mark.parametrize("tau", [0.075, 1.5, 6.0, -6.0, 3j])
+def test_humbert_node_form_is_phi2(tau):
+    # the node form sums coefficient(n) tau^n; Phi2 sums the same double
+    # series by total degree in (x, tau)
+    gen = HumbertGen(0.8, 1.7, 0.6)
+    got = gen.node_values(np.array([tau, 0.5 * tau], dtype=complex))
+    for value, arg in zip(got, (tau, 0.5 * tau)):
+        assert rel(value, humbert_phi2(0.8, 0.8, 1.7, 0.6, arg).value) <= 2e-14
+
+
+def test_humbert_node_form_of_no_nodes():
+    assert HumbertGen(0.8, 1.7, 0.6).node_values(np.array([], dtype=complex)).size == 0
+
+
+def test_gegenbauer_coefficients_are_the_polynomials():
+    gen = GegenbauerGen(0.35, 0.8)
+    assert [gen.coefficient(n) for n in range(40)] == [gegenbauer(n, 0.35, 0.8)
+                                                      for n in range(40)]
 
 
 def test_gegenbauer_dual_evaluation():

@@ -129,6 +129,23 @@ class TestTheorem3:
         with pytest.raises(DomainError):
             closed_form_theorem3(0.9, 1.3, -0.7, 0.0, 1.0, -1.5, 1.0, 1.0, 0.5)
 
+    @pytest.mark.parametrize("u", [1.0, 2.0])
+    def test_series_argument_outside_the_disc(self, u):
+        # w = -u (b-a) / (a u + v) = -u: the closed form cannot sum it, and
+        # the spec refuses it for both routes
+        with pytest.raises(DomainError, match="gamma = 0, 1, 2"):
+            closed_form_theorem3(0.9, 1.3, -0.7, 0.0, 1.0, u, 1.0, 1.0, 0.5)
+        with pytest.raises(DomainError, match="gamma = 0, 1, 2"):
+            evaluate_integral_direct(t3_spec(0.9, 1.3, -0.7, 0.0, 1.0, u, 1.0, 1.0, 0.5))
+
+    @pytest.mark.parametrize("gamma", [0.0, 2.0, 3.0])
+    def test_terminating_sum_outside_the_disc(self, gamma):
+        result = closed_form_theorem3(0.9, 1.3, gamma, 0.0, 1.0, 2.0, 1.0, 1.0, 0.5)
+        direct = evaluate_integral_direct(
+            t3_spec(0.9, 1.3, gamma, 0.0, 1.0, 2.0, 1.0, 1.0, 0.5), TIGHT).value
+        assert result.terms_used == gamma + 4
+        assert rel(result.value, direct) <= 1e-12
+
 
 class TestTheorem4:
     def test_p_zero_prefactor(self):
@@ -291,7 +308,7 @@ class TestApplicationCases:
         reduced = application_case("4.2-2f2", 0.9, **kwargs)
         v1 = series.closed_form(policy).value
         v2 = reduced.closed_form(policy).value
-        v3 = series.oracle(TIGHT, policy).value
+        v3 = series.oracle(TIGHT).value
         assert rel(v1, v2) <= 1e-9
         assert rel(v1, v3) <= 1e-9
         assert rel(v2, v3) <= 1e-9
@@ -305,6 +322,14 @@ class TestApplicationCases:
         rhs = closed_form_theorem1(0.9, 1.3, 0.8, 0.0, 0.45, 0.0, 1.0, p).value
         assert rel(lhs, rhs) <= 1e-12
 
+    def test_case_43_argument_bound(self):
+        # x1 is the T3 series argument: |x1| >= 1 only where the sum terminates
+        with pytest.raises(DomainError):
+            application_case("4.3", 0.5, alpha=0.9, beta=1.3, alpha1=0.8, x1=-1.5, lam=1.0)
+        case = application_case("4.3", 0.5, alpha=0.9, beta=1.3, alpha1=-2.0, x1=-1.5,
+                                lam=1.0)
+        assert rel(case.closed_form(SeriesPolicy()).value, case.oracle(TIGHT).value) <= 1e-12
+
     def test_case_44_trivial_point(self):
         case = application_case("4.4", 0.0, alpha=1.0, beta=1.0, a=0.0, b=1.0, lam=1.0)
         assert rel(case.closed_form(SeriesPolicy()).value, 1.0) <= 1e-14
@@ -312,7 +337,7 @@ class TestApplicationCases:
     def test_case_45_against_oracle(self):
         case = application_case("4.5", 1.1, alpha=1.6, nu=0.4, mu=1.1, lam=2.0)
         closed = case.closed_form(SeriesPolicy()).value
-        direct = case.oracle(TIGHT, SeriesPolicy()).value
+        direct = case.oracle(TIGHT).value
         assert rel(closed, direct) <= 1e-9
 
     def test_unknown_case(self):

@@ -10,6 +10,7 @@ from wrightlab import (
     NonConvergenceError,
     QuadraturePolicy,
     beta_fn,
+    closed_form_theorem4,
     evaluate_integral_direct,
     hyper_pfq,
     t1_spec,
@@ -50,6 +51,26 @@ def test_weighted_gauss_kernel_frozen():
     result = tanh_sinh_integrate(
         lambda t, da, db: da ** 0.2 * db ** 1.3 * (1.0 - 0.3 * t) ** -0.5, 0.0, 1.0)
     assert rel(result.value, 0.34105844848190639115) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-121, 1.0, 1e121])
+def test_stopping_rule_is_relative_to_the_integrand_scale(scale):
+    # the same integrand at any scale takes the same levels to the same digits
+    def f(x, da, db):
+        return scale * da ** 0.2 * db ** 1.3 * (1.0 - 0.3 * x) ** -0.5
+
+    result = _integrate_vec(f, 0.0, 1.0, QuadraturePolicy())
+    assert rel(result.value / scale, 0.34105844848190639115) <= 1e-12
+    assert result.evaluations == _integrate_vec(
+        lambda x, da, db: f(x, da, db) / scale, 0.0, 1.0, QuadraturePolicy()).evaluations
+
+
+def test_large_exponents_reach_the_closed_form():
+    # the raw integral is about 1e-121 before the 1/B(200, 200) normalization
+    spec = t4_spec(200.0, 200.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.5)
+    closed = closed_form_theorem4(200.0, 200.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.5).value
+    assert rel(closed, 1.1327953914973445) <= 1e-14
+    assert rel(evaluate_integral_direct(spec).value, closed) <= 1e-12
 
 
 def test_beta_grid_self_check():

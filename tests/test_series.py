@@ -19,7 +19,8 @@ from wrightlab import (
     wright_psi,
     wright_psi_normalized,
 )
-from wrightlab.scalars import pochhammer
+from wrightlab.scalars import log_gamma_signed, pochhammer
+from wrightlab.series import _Phase, sum_with_policy
 
 
 def rel(a, b):
@@ -186,6 +187,46 @@ class TestMittagLeffler:
         # cancel to 9.58e-3 in doubles, a value with no correct digit
         with pytest.raises(CancellationError):
             mittag_leffler(1.0, -30.0)
+
+    def test_identical_to_its_own_term_series(self):
+        # the Wright route gives every value, term count, tail and error of
+        # the direct terms z^n / Gamma(lam n + 1) bit for bit
+        def direct_terms(lam, z, max_terms):
+            phase = _Phase(complex(z))
+            for n in range(max_terms):
+                yield phase.term(n, -log_gamma_signed(lam * n + 1.0)[0], 1)
+                phase.advance()
+
+        def outcome(fn):
+            try:
+                result = fn()
+            except Exception as exc:
+                return type(exc), str(exc)
+            return result
+
+        rng = random.Random(5)
+        policy = SeriesPolicy()
+        kinds = set()
+        for _ in range(400):
+            lam = rng.choice([0.0, 0.3, 0.5, 0.8, 1.0, 1.5, 2.0, rng.uniform(0.0, 3.0)])
+            z = complex(rng.uniform(-40, 40), rng.uniform(-40, 40)) * rng.choice([0.01, 0.1, 1.0])
+            got = outcome(lambda: mittag_leffler(lam, z, policy))
+            if isinstance(got, tuple) and got[0] is DomainError:
+                continue
+            want = outcome(lambda: sum_with_policy(direct_terms(lam, z, policy.max_terms),
+                                                   policy))
+            assert got == want
+            kinds.add(got[0] if isinstance(got, tuple) else "value")
+        assert kinds == {"value", CancellationError, DivergenceError}
+
+    def test_overflowing_modulus_is_divergence(self):
+        # both parts finite, modulus past the double range: a typed error, not OverflowError
+        with pytest.raises(DivergenceError, match="^term 0 is non-finite$"):
+            sum_with_policy(iter([complex(1.5e308, 1.5e308)]), SeriesPolicy())
+        with pytest.raises(DivergenceError, match="^partial sum is non-finite at term 1$"):
+            sum_with_policy(iter([1.5e308, 1.5e308j]), SeriesPolicy())
+        with pytest.raises(DivergenceError):
+            mittag_leffler(0.3, 6.0 + 4.0j)
 
 
 @settings(max_examples=60, deadline=None)

@@ -309,6 +309,25 @@ class TestCli:
                          "alpha2=0.9", "x1=0.3", "x2=-0.25", "lam=0.5", "p=-40"]) == 3
         assert "overflowed at n=" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["mittag_leffler", "lam=0.3", "z=6+4j"],
+        ["wright_psi", "upper=[[1,1]]", "lower=[[1,0.3]]", "z=6+4j"],
+    ])
+    def test_eval_overflowing_partial_sum_exits_3(self, args, capsys):
+        # the partial sum's parts stay finite while its modulus overflows
+        assert main(["eval"] + args) == 3
+        assert "partial sum is non-finite" in capsys.readouterr().err
+
+    def test_verify_skips_t3_points_outside_the_series_disc(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"cases": ["theorem3"], "grids": {"theorem3": {
+            "alpha": [0.9], "beta": [1.3], "gamma": [-0.7], "a": [0.0], "b": [1.0],
+            "u": [1.0, 2.0], "v": [1.0], "lam": [1.0], "p": [0.5]}}}))
+        out = tmp_path / "r.json"
+        assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert [r["status"] for r in report["records"]] == ["skipped-domain"] * 2
+
     def test_verify_case_filter_and_failure_exit(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(small_config()))
