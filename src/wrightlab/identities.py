@@ -15,21 +15,20 @@ adds the generator's series condition to quadrature.check_generating_domain.
 Every closed form validates by building its spec, and euler_case binds a
 spec to both routes, so both refuse the same points.
 
-Every closed form but T4's is an outer sum: outer coefficients times one
-inner value per outer index.  The outer coefficients are built as arrays,
-a block of indices at a time, by the helpers of multivar (Pochhammer power
-streams, their truncated product and running Pochhammer ratios), and the
-terms go one at a time to sum_with_policy.  The inner engine is always a
-3-by-2 Wright series with weight pattern (1,1,1; 2, lam).  The closed forms
-evaluate it for blocks of outer indices at once, as log-space tables that
-stop each row by the caller's series policy (_InnerTable); an inner value
-is only taken when the sum reaches its index, and rows the table cannot
-settle, and T4's single value, go through the scalar engine.
+Every closed form but T2's and T4's is an outer sum: outer coefficients
+times one inner value per outer index.  The outer coefficients are built
+as arrays, a block of indices at a time, by the helpers of multivar
+(Pochhammer power streams, their truncated product and running Pochhammer
+ratios), and the terms go one at a time to sum_with_policy.  The inner
+engine is a 3-by-2 Wright series with weight pattern (1,1,1; 2, lam),
+tabulated for blocks of outer indices at once in log space, each row
+stopped by the caller's series policy (_InnerTable); rows the table cannot
+settle, and T4's single value, go through the scalar engine.  T2 expands
+E_lam[p xi] instead: a sum over its powers of p of Appell F3 values.
 
 On a general interval the linear-weight family (T3) picks up the factors
 (b-a)^(alpha+beta-1) and (a*u+v)^gamma, and the series argument becomes
-p*(b-a)^2; all three are required for agreement with the direct integral
-and degenerate to no-ops on (0, 1).
+p*(b-a)^2; all three degenerate to no-ops on (0, 1).
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .multivar import (BLOCK, _coefficients, _in_blocks, _poch_power, _product, _running,
+from .multivar import (BLOCK, _coefficients, _in_blocks, _poch_power, _product, appell_f3,
                        gegenbauer)
 from .quadrature import QuadratureResult, check_generating_domain, evaluate_integral_direct
 from .scalars import _is_nonpositive_integer, pochhammer
@@ -232,7 +231,7 @@ class EulerIntegralSpec:
     def validate(self):
         if not self.alpha > 0.0 or not self.beta > 0.0:
             raise DomainError("need alpha > 0 and beta > 0")
-        if self.lam < 0.0:
+        if not self.lam >= 0.0:
             raise DomainError("need lam >= 0")
         if not self.a < self.b:
             raise DomainError("need a < b")
@@ -301,12 +300,12 @@ class _InnerTable:
         self._j = np.arange(terms - 1.0)
         self._column = np.array([-math.lgamma(1.0 + lam * k) for k in range(terms)])
         radius = abs(p)
-        unit = p / radius if radius > 0.0 else 0.0j
+        unit = p / radius if radius != 0.0 else 0.0j
         if unit.imag == 0.0:
             unit = unit.real  # a real table costs about half a complex one
         # unit^k by repeated products, as the scalar engine forms it
         self._phase = np.ones(terms, dtype=type(unit))
-        if radius > 0.0:
+        if radius != 0.0:
             self._column += np.arange(terms) * math.log(radius)
             self._phase[1:] = np.cumprod(np.full(terms - 1, unit))
         else:
@@ -402,27 +401,25 @@ def closed_form_theorem1(alpha: float, beta: float, alpha1: float, alpha2: float
 def closed_form_theorem2(alpha: float, beta: float, alpha1: float, alpha2: float,
                          x1: float, x2: float, lam: float, p: complex,
                          policy: SeriesPolicy | None = None) -> SeriesResult:
-    """Series value of the T2 integral.
-
-    Here the inner Wright parameters shift with m and n separately, so each
-    diagonal needs d + 1 inner values, tabulated as one block of rows when
-    the sum reaches it.  At p = 0 this collapses to the F3 double series.
+    """Series value of the T2 integral, E_lam[p xi] integrated term by term:
+    sum_k w_k F3(alpha+k, beta+k, alpha1, alpha2; alpha+beta+2k; x1, x2) with
+    w_k = (alpha)_k (beta)_k p^k / ((alpha+beta)_{2k} Gamma(1 + lam k)).
+    terms_used and tail_estimate cover the sum over k only; each F3 stops by
+    the policy itself, and its own truncation error is left out.
     """
     policy = policy or SeriesPolicy()
     t2_spec(alpha, beta, alpha1, alpha2, x1, x2, lam, p).validate()
-    inner = _InnerTable(lam, complex(p), policy)
+    p = complex(p)
 
-    def block(start, count):
-        fx = _poch_power(x1, (alpha, alpha1), count)
-        gy = _poch_power(x2, (beta, alpha2), count)
-        inv = _running(np.divide, alpha + beta + np.arange(count - 1.0)).tolist()
-        return [(d, inv[d], fx[:d + 1], gy[:d + 1]) for d in range(start, count)]
+    def step(k):  # w_{k+1} / w_k
+        c = alpha + beta + 2.0 * k
+        return (alpha + k) * (beta + k) * p / (c * (c + 1.0)) * np.exp(
+            [math.lgamma(1.0 + lam * j) - math.lgamma(1.0 + lam * j + lam) for j in k])
 
-    def diagonal(d, inv, fx, gy):  # inv = 1 / (alpha+beta)_d
-        m = np.arange(d + 1.0)
-        return inv * _diagonal_sum(fx, gy, inner.rows(alpha + m, beta + (d - m), alpha + beta + d))
-
-    return sum_with_policy(itertools.starmap(diagonal, _in_blocks(block)), policy)
+    terms = (w * appell_f3(alpha + k, beta + k, alpha1, alpha2, alpha + beta + 2.0 * k,
+                           x1, x2, policy).value if w != 0.0 else 0.0j
+             for k, w in enumerate(_coefficients(np.multiply, step)))
+    return sum_with_policy(terms, policy)
 
 
 def closed_form_theorem3(alpha: float, beta: float, gamma: float, a: float, b: float,
@@ -430,24 +427,18 @@ def closed_form_theorem3(alpha: float, beta: float, gamma: float, a: float, b: f
                          policy: SeriesPolicy | None = None) -> SeriesResult:
     """Series value of the linear-weight (T3) integral.
 
-    Single sum in m with coefficients (-gamma)_m (alpha)_m / ((alpha+beta)_m m!)
-    times (-u(b-a)/(a u+v))^m; nonnegative-integer gamma truncates it exactly.
+    Mapped onto (0, 1) the weight is (a u + v)^gamma (1 - w t)^gamma with
+    w = -u(b-a)/(a u + v): the one-variable Lauricella sum with exponent
+    -gamma at w, which nonnegative-integer gamma truncates exactly.
     """
-    policy = policy or SeriesPolicy()
     t3_spec(alpha, beta, gamma, a, b, u, v, lam, p).validate()
     auv = a * u + v
-    p = complex(p)
     width = b - a
     prefactor = auv ** gamma * width ** (alpha + beta - 1.0)
-    argument = p * width * width
-    w = -u * width / auv
-    inner = _InnerTable(lam, argument, policy).ladder((alpha, beta, alpha + beta),
-                                                      (1.0, 0.0, 1.0))
-    coefficients = _coefficients(
-        np.multiply, lambda m: (-gamma + m) * (alpha + m) * w / ((alpha + beta + m) * (m + 1.0)))
-    # a zero coefficient stays zero, so the ladder is never reached again
-    terms = (prefactor * c * next(inner).value if c != 0.0 else 0.0j for c in coefficients)
-    return sum_with_policy(terms, policy)
+    inner = _lauricella_sum(alpha, beta, (-gamma,), (-u * width / auv,), lam,
+                            complex(p) * width * width, policy or SeriesPolicy())
+    return SeriesResult(prefactor * inner.value, inner.terms_used,
+                        abs(prefactor) * inner.tail_estimate)
 
 
 def closed_form_theorem4(alpha: float, beta: float, a: float, b: float,

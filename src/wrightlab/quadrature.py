@@ -35,8 +35,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, NonConvergenceError
+from .errors import CancellationError, DomainError, EvaluationError, NonConvergenceError
 from .scalars import log_gamma
+from .series import CANCELLATION_LIMIT
 
 __all__ = [
     "QuadraturePolicy",
@@ -223,8 +224,10 @@ def _ml_values(lam: float, w: np.ndarray) -> np.ndarray:
     (np.cumprod is not: its accumulate loop rounds complex products
     differently).  The sum stops at the first n whose largest term
     |w^n| / Gamma(lam n + 1) is at most 1e-17 of the largest partial sum so
-    far, and raises if a term before that overflows; the block's later
-    terms are discarded.
+    far, and raises if a term before that overflows.  It also raises if a
+    node's sum of |terms|, E_lam(|w|), passes CANCELLATION_LIMIT times its
+    |value|; that is summed only where the fsum of the largest terms,
+    E_lam(max|w|), does not rule it out.  Later terms are discarded.
     """
     if lam == 0.0:
         return 1.0 / (1.0 - w)
@@ -235,6 +238,7 @@ def _ml_values(lam: float, w: np.ndarray) -> np.ndarray:
     total = np.ones_like(w, dtype=complex)
     power = np.ones_like(w, dtype=complex)
     scale = 1.0
+    peak_list = [1.0]
     # Overflow past the stopping term is expected and discarded.
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(1, _ML_TERMS, _ML_BLOCK):
@@ -251,7 +255,19 @@ def _ml_values(lam: float, w: np.ndarray) -> np.ndarray:
                 k = int(np.argmax(done))
                 if not math.isfinite(peaks[k]):
                     raise EvaluationError(f"node Mittag-Leffler series overflowed at n={ns[k]}")
-                return totals[k]
+                values = totals[k]
+                bound = math.fsum(peak_list + peaks[:k + 1].tolist())
+                near = np.flatnonzero(CANCELLATION_LIMIT * np.abs(values) < bound)
+                if near.size:
+                    abs_sums = _ml_values(lam, np.abs(w[near])).real
+                    over = abs_sums > CANCELLATION_LIMIT * np.abs(values[near])
+                    if over.any():
+                        i = int(np.argmax(over))
+                        raise CancellationError(f"node Mittag-Leffler sum of |terms| "
+                                                f"{abs_sums[i]:.3e} cancels to "
+                                                f"{abs(values[near[i]]):.3e}")
+                return values
+            peak_list += peaks.tolist()
             total, scale = totals[-1], scales[-1]
     raise EvaluationError("Mittag-Leffler node series did not converge")
 
@@ -300,7 +316,7 @@ def check_generating_domain(r: float, s: float, delta: float, omega: float, lam:
         raise DomainError(f"need s > r > 0, got r={r!r}, s={s!r}")
     if delta < 0.0 or omega < 0.0 or delta + omega <= 0.0:
         raise DomainError("need delta, omega >= 0 with delta + omega > 0")
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise DomainError("need lam >= 0")
     if any(abs(xi) >= 1.0 for _, xi in product_factors):
         raise DomainError("product factors need |x_i| < 1")

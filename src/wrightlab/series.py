@@ -196,8 +196,8 @@ class _Phase:
 
     def __init__(self, z: complex):
         r = abs(z)
-        self.log_r = math.log(r) if r > 0.0 else None
-        self.unit = z / r if r > 0.0 else 0.0j
+        self.log_r = math.log(r) if r != 0.0 else None
+        self.unit = z / r if r != 0.0 else 0.0j
         self.current = 1.0 + 0.0j
 
     def term(self, k: int, log_mag: float, sign: int) -> complex:
@@ -344,7 +344,7 @@ def mittag_leffler(lam: float, z: complex, policy: SeriesPolicy | None = None) -
 
     lam >= 0; lam = 0 reduces to the geometric series, so |z| < 1 is required there.
     """
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise DomainError(f"mittag_leffler weight must be >= 0, got {lam!r}")
     if lam == 0.0 and abs(z) >= 1.0:
         raise DomainError(f"mittag_leffler(0, z) needs |z| < 1, got |z| = {abs(z)!r}")

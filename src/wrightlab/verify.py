@@ -75,7 +75,7 @@ class GridConfig:
             raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
         cfg = cls()
         if "seed" in raw:
-            if not isinstance(raw["seed"], int):
+            if isinstance(raw["seed"], bool) or not isinstance(raw["seed"], int):
                 raise ConfigError("field 'seed' must be an integer")
             cfg.seed = raw["seed"]
         if "format" in raw:
@@ -83,7 +83,7 @@ class GridConfig:
                 raise ConfigError("field 'format' must be 'json' or 'csv'")
             cfg.fmt = raw["format"]
         if "tolerance" in raw:
-            if not isinstance(raw["tolerance"], (int, float)) or raw["tolerance"] <= 0:
+            if not _is_number(raw["tolerance"]) or not raw["tolerance"] > 0:
                 raise ConfigError("field 'tolerance' must be a positive number")
             cfg.tolerance = float(raw["tolerance"])
         if "tolerances" in raw:
@@ -92,7 +92,7 @@ class GridConfig:
             for name, tol in raw["tolerances"].items():
                 if name not in FAMILIES:
                     raise ConfigError(f"tolerances: unknown case {name!r}")
-                if not isinstance(tol, (int, float)) or tol <= 0:
+                if not _is_number(tol) or not tol > 0:
                     raise ConfigError(f"tolerances[{name!r}] must be a positive number")
             cfg.tolerances = {k: float(v) for k, v in raw["tolerances"].items()}
         if "cases" in raw:
@@ -113,7 +113,7 @@ class GridConfig:
                     _check_grid_values(name, pname, values)
             cfg.grids = raw["grids"]
         if "jobs" in raw:
-            if not isinstance(raw["jobs"], int) or raw["jobs"] < 1:
+            if isinstance(raw["jobs"], bool) or not isinstance(raw["jobs"], int) or raw["jobs"] < 1:
                 raise ConfigError("field 'jobs' must be a positive integer")
             cfg.jobs = raw["jobs"]
         return cfg

@@ -67,3 +67,41 @@ def test_readme_has_eval_examples():
 def test_readme_eval_example(args, expected, capsys):
     code, out, _ = run_eval(args, capsys)
     assert (code, out) == (0, expected)
+
+
+# A NaN series argument used to take the z = 0 branch and print the z = 0
+# value with exit 0; a NaN weight exited 1 on a float-to-integer conversion.
+NAN_ARGUMENT = [
+    ["mittag_leffler", "lam=1", "z=NaN"],
+    ["pfq", "num=[0.5]", "den=[1.5]", "z=NaN"],
+    ["wright_psi", "upper=[[1,1]]", "lower=[[1,0.5]]", "z=NaN"],
+    ["theorem1", "alpha=1.2", "beta=0.8", "alpha1=0.5", "alpha2=0.9", "x1=0.3", "x2=-0.25",
+     "lam=0.5", "p=NaN"],
+    ["theorem2", "alpha=1.5", "beta=1.1", "alpha1=0.4", "alpha2=0.6", "x1=0.2", "x2=0.3",
+     "lam=0.5", "p=NaN"],
+    ["theorem3", "alpha=0.9", "beta=1.3", "gamma=-0.7", "a=-1", "b=1.5", "u=0.3", "v=1.4",
+     "lam=1", "p=NaN"],
+    ["theorem4", "alpha=1", "beta=1", "a=0", "b=1", "nu=0", "mu=0", "lam=1", "p=NaN"],
+    ["generating", "gen=gegenbauer", "a=0.35", "r=1.5", "s=3", "delta=1", "omega=1", "lam=1",
+     "p=NaN", "t=0.3"],
+    ["generating", "a=0.5", "alphas=[0.4,0.7]", "xs=[0.3,-0.2]", "r=0.8", "s=2.1", "delta=1",
+     "omega=1", "lam=1", "p=NaN", "t=0.25"],
+]
+NAN_WEIGHT = [
+    ["mittag_leffler", "lam=NaN", "z=1"],
+    ["theorem1", "alpha=1.2", "beta=0.8", "alpha1=0.5", "alpha2=0.9", "x1=0.3", "x2=-0.25",
+     "lam=NaN", "p=1"],
+    ["generating", "gen=gegenbauer", "a=0.35", "r=1.5", "s=3", "delta=1", "omega=1",
+     "lam=NaN", "p=0.6", "t=0.3"],
+]
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [(a, 3, "convergence error: term 1 is non-finite\n") for a in NAN_ARGUMENT]
+    + [(a, 2, "domain error: ") for a in NAN_WEIGHT],
+    ids=[" ".join(a) for a in NAN_ARGUMENT + NAN_WEIGHT])
+def test_nan_is_refused(args, code, message, capsys):
+    got, out, err = run_eval(args, capsys)
+    assert (got, out) == (code, "")
+    assert err.startswith(message)

@@ -86,9 +86,10 @@ class TestTheorem1:
 
 class TestTheorem2:
     def test_p_zero_is_f3(self):
-        lhs = closed_form_theorem2(1.5, 1.1, 0.4, 0.6, 0.2, 0.3, 1.0, 0.0).value
-        rhs = appell_f3(1.5, 1.1, 0.4, 0.6, 2.6, 0.2, 0.3).value
-        assert rel(lhs, rhs) <= 1e-13
+        # only the k = 0 weight is nonzero: one F3 value, then three zero terms
+        lhs = closed_form_theorem2(1.5, 1.1, 0.4, 0.6, 0.2, 0.3, 1.0, 0.0)
+        assert lhs.value == appell_f3(1.5, 1.1, 0.4, 0.6, 2.6, 0.2, 0.3).value
+        assert lhs.terms_used == 4
 
     def test_second_exponent_zero_matches_theorem1(self):
         lhs = closed_form_theorem2(1.5, 1.1, 0.4, 0.0, 0.2, 0.3, 0.5, 0.8).value

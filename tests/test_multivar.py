@@ -320,10 +320,13 @@ class TestOverflowPastTheStop:
     warning an error here, that must stay silent."""
 
     def test_theorem2_stops_before_its_stream_overflows(self):
-        # the x1 stream overflows from m = 170, in the block after the stop
+        # 12 terms in k; the k = 0 F3 stops after 145 diagonals and its x1
+        # stream overflows from m = 176, in the block after the stop
         result = closed_form_theorem2(1.5, 1.1, 0.4, 0.6, 0.85, 0.3, 1.0, 0.5)
-        assert result.terms_used == 145
-        assert rel(result.value, 1.635769371310084) <= 1e-15
+        assert result.terms_used == 12
+        assert rel(result.value, 1.63576937131008) <= 1e-15
+        # a 40-digit mpmath.quad value of the integral
+        assert rel(result.value, 1.6357693713101403) <= 5e-14
 
     def test_f3_overflow_is_a_divergence(self):
         with pytest.raises(DivergenceError):

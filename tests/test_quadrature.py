@@ -1,15 +1,18 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from wrightlab import (
+    CancellationError,
     DomainError,
     EvaluationError,
     NonConvergenceError,
     QuadraturePolicy,
     beta_fn,
+    closed_form_theorem1,
     closed_form_theorem4,
     evaluate_integral_direct,
     hyper_pfq,
@@ -20,6 +23,7 @@ from wrightlab import (
 )
 from wrightlab.quadrature import _integrate_vec, _level_nodes, _ml_values
 from wrightlab.scalars import log_gamma
+from wrightlab.series import CANCELLATION_LIMIT
 
 
 def rel(a, b):
@@ -198,6 +202,27 @@ def test_node_series_overflow_is_a_typed_error_without_warnings():
             evaluate_integral_direct(spec)
 
 
+def test_cancelled_node_values_fail_the_direct_integral():
+    # E_{1/2} at p xi down to -5 cancels by a factor of 1.3e12; the levels
+    # used to plateau on the noise it left, which nothing guaranteed
+    spec = t1_spec(1.2, 0.8, 0.5, 0.9, 0.3, -0.25, 0.5, -20.0)
+    with pytest.raises(CancellationError, match="node Mittag-Leffler"):
+        evaluate_integral_direct(spec)
+
+
+def test_node_cancellation_is_judged_node_by_node():
+    # E_{1/2}(4) is about 2e7, far above the limit times the value 1 at the
+    # first node, but no term is negative at any node
+    w = np.array([1e-12, 4.0])
+    assert np.allclose(_ml_values(0.5, w), _ml_reference(0.5, w), rtol=1e-15)
+    with pytest.raises(CancellationError, match="node Mittag-Leffler"):
+        _ml_values(0.5, -w)
+    # T1 with positive p sums positive terms at every node
+    spec = t1_spec(1.2, 0.8, 0.5, 0.9, 0.3, -0.25, 0.5, 20.0)
+    closed = closed_form_theorem1(1.2, 0.8, 0.5, 0.9, 0.3, -0.25, 0.5, 20.0).value
+    assert rel(evaluate_integral_direct(spec).value, closed) < 1e-12
+
+
 def test_non_finite_node_names_the_bad_end():
     # the only non-finite nodes lie within 1e-3 of b
     with pytest.raises(EvaluationError, match=r"near x=0\.999\d*$"):
@@ -208,17 +233,24 @@ def _ml_reference(lam, w):
     """The node series term by term: the loop _ml_values sums in blocks."""
     total = np.ones_like(w, dtype=complex)
     power = np.ones_like(w, dtype=complex)
+    abs_total = np.ones(len(w))  # each node's sum of |terms|
     scale = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, 2000):
             power = power * w
             coeff = math.exp(-log_gamma(lam * n + 1.0))
             total = total + power * coeff
+            abs_total = abs_total + np.abs(power) * coeff
             peak = np.max(np.abs(power)) * coeff
             if not math.isfinite(peak):
                 raise EvaluationError(f"node Mittag-Leffler series overflowed at n={n}")
             scale = max(scale, float(np.max(np.abs(total))))
             if peak <= 1e-17 * scale:
+                cancelled = np.flatnonzero(abs_total > CANCELLATION_LIMIT * np.abs(total))
+                if cancelled.size:
+                    j = cancelled[0]
+                    raise CancellationError(f"node Mittag-Leffler sum of |terms| "
+                                            f"{abs_total[j]:.3e} cancels to {abs(total[j]):.3e}")
                 return total
     raise EvaluationError("Mittag-Leffler node series did not converge")
 
@@ -232,14 +264,14 @@ def test_ml_values_match_the_term_by_term_reference():
             w = radius * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size))
             try:
                 expected = _ml_reference(lam, w)
-            except EvaluationError as failure:
-                with pytest.raises(EvaluationError, match=f"^{failure}$"):
+            except (EvaluationError, CancellationError) as failure:
+                with pytest.raises(type(failure), match=f"^{re.escape(str(failure))}$"):
                     _ml_values(lam, w)
-                outcomes.add("overflow")
+                outcomes.add("overflow" if isinstance(failure, EvaluationError) else "cancellation")
             else:
                 assert (_ml_values(lam, w) == expected).all()
                 outcomes.add("value")
-    assert outcomes == {"overflow", "value"}
+    assert outcomes == {"overflow", "cancellation", "value"}
 
 
 def _unless_speculative(value, integrand):

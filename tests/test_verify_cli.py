@@ -59,6 +59,19 @@ class TestGridConfig:
         with pytest.raises(ConfigError, match="line 1"):
             GridConfig.from_file(str(path))
 
+    # JSON true/false are Python ints and NaN compares false: neither may
+    # pass for a number (tolerance true used to pass every point)
+    @pytest.mark.parametrize("raw", [
+        {"tolerance": True}, {"seed": False}, {"jobs": True}, {"tolerance": math.nan},
+        {"tolerances": {"theorem4": True}}, {"tolerances": {"theorem4": math.nan}},
+    ], ids=lambda raw: json.dumps(raw))
+    def test_booleans_and_nan_are_not_numbers(self, raw, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(small_config(**raw)))
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestRunner:
     def test_small_run_passes(self):
