@@ -29,6 +29,7 @@ from .identities import (
     closed_form_theorem3,
     closed_form_theorem4,
     euler_case,
+    factor_pairs,
     generating_integral_closed_form,
     t1_spec,
     t2_spec,
@@ -108,9 +109,8 @@ def _build_gen_symmetric(a, r, omega, lam, p, t):
 
 
 def _build_theorem6(a, alphas, xs, r, s, delta, omega, lam, p, t):
-    factors = tuple(zip(alphas, xs))
     return _gen_case("theorem6-binomial", BinomialGen(a), r, s, delta, omega, lam, p, t,
-                     factors)
+                     factor_pairs(alphas, xs))
 
 
 # -- randomized draws --------------------------------------------------------

@@ -31,6 +31,7 @@ from .identities import (
     closed_form_theorem2,
     closed_form_theorem3,
     closed_form_theorem4,
+    factor_pairs,
     generating_integral_closed_form,
     t1_spec,
     t2_spec,
@@ -155,7 +156,7 @@ def _wright_spec(kv: dict) -> WrightSpec:
 
 def _generating(kv: dict, policy: SeriesPolicy) -> SeriesResult:
     gen = _make_generator(kv)
-    factors = list(zip(kv.get("alphas", []), kv.get("xs", [])))
+    factors = factor_pairs(kv.get("alphas", []), kv.get("xs", []))
     return generating_integral_closed_form(
         gen, kv["r"], kv["s"], kv["delta"], kv["omega"], kv["lam"],
         _as_complex(kv.get("p", 0.0)), _as_complex(kv.get("t", 0.0)), factors, policy)
@@ -237,21 +238,15 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    flags = {"seed": args.seed, "tolerance": args.tolerance, "cases": args.case,
+             "jobs": args.jobs, "format": args.format}
+    flags = {key: value for key, value in flags.items() if value is not None}
     try:
-        cfg = GridConfig.from_file(args.config) if args.config else GridConfig()
+        cfg = (GridConfig.from_file(args.config, flags) if args.config
+               else GridConfig.from_dict(flags))
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.tolerance is not None:
-        cfg.tolerance = args.tolerance
-    if args.case:
-        cfg.cases = list(args.case)
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
-    if args.format is not None:
-        cfg.fmt = args.format
     report = run_verification(cfg)
     write_report(report, args.out, cfg.fmt)
     line, code = summarize(report)

@@ -15,16 +15,15 @@ adds the generator's series condition to quadrature.check_generating_domain.
 Every closed form validates by building its spec, and euler_case binds a
 spec to both routes, so both refuse the same points.
 
-Every closed form but T2's and T4's is an outer sum: outer coefficients
-times one inner value per outer index.  The outer coefficients are built
-as arrays, a block of indices at a time, by the helpers of multivar
-(Pochhammer power streams, their truncated product and running Pochhammer
-ratios), and the terms go one at a time to sum_with_policy.  The inner
-engine is a 3-by-2 Wright series with weight pattern (1,1,1; 2, lam),
-tabulated for blocks of outer indices at once in log space, each row
-stopped by the caller's series policy (_InnerTable); rows the table cannot
-settle, and T4's single value, go through the scalar engine.  T2 expands
-E_lam[p xi] instead: a sum over its powers of p of Appell F3 values.
+T1, T3 and the n-variable form are one outer sum (_lauricella_sum): outer
+coefficients, built as arrays a block of degrees at a time by the helpers
+of multivar, times one inner value per total degree.  The inner engine is
+a 3-by-2 Wright series with weight pattern (1,1,1; 2, lam), tabulated for
+blocks of degrees at once in log space (_InnerTable); rows the table
+cannot settle, and T4's single value, go through the scalar engine.  The
+other forms integrate a series term by term: T2 sums Appell F3 values over
+the powers of p of E_lam[p xi], and the generating integrals sum inner
+rows or, with product factors, _lauricella_sum values over G's terms.
 
 On a general interval the linear-weight family (T3) picks up the factors
 (b-a)^(alpha+beta-1) and (a*u+v)^gamma, and the series argument becomes
@@ -33,6 +32,7 @@ p*(b-a)^2; all three degenerate to no-ops on (0, 1).
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,10 +41,9 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .multivar import (BLOCK, _coefficients, _in_blocks, _poch_power, _product, appell_f3,
-                       gegenbauer)
+from .multivar import BLOCK, _coefficients, appell_f3, gegenbauer
 from .quadrature import QuadratureResult, check_generating_domain, evaluate_integral_direct
-from .scalars import _is_nonpositive_integer, pochhammer
+from .scalars import _is_nonpositive_integer, beta_fn, pochhammer
 from .series import (
     CANCELLATION_LIMIT,
     SeriesPolicy,
@@ -52,7 +51,6 @@ from .series import (
     WrightSpec,
     hyper_pfq,
     sum_with_policy,
-    wright_psi,
     wright_psi_normalized,
 )
 
@@ -279,23 +277,21 @@ _ROW_TERMS = 48
 class _InnerTable:
     """Inner Wright values of rows (a, b, c) that share lam and p.
 
-    A row is the (1,1,1; 2,lam) series sum_k (a)_k (b)_k p^k / ((c)_{2k}
-    Gamma(1 + lam k)): the normalized inner value, or with raw=True that
-    value times Gamma(a)Gamma(b)/Gamma(c), added as a log shift before exp.
-    Blocks of rows are tabulated in log space: the Pochhammer ratio is a
-    cumulative sum of logs along k, and the column term k ln|p| -
-    ln Gamma(1 + lam k) is computed once per table.  Each row stops by the
-    rule of sum_with_policy.  A row with a nonpositive parameter, a
-    non-finite partial sum, no stop within _ROW_TERMS terms or a cancelled
-    value is evaluated by the scalar engine when the caller reaches it, so
-    that engine raises every pole, divergence, term and cancellation error.
+    A row is the normalized (1,1,1; 2,lam) series sum_k (a)_k (b)_k p^k /
+    ((c)_{2k} Gamma(1 + lam k)).  Blocks of rows are tabulated in log
+    space: the Pochhammer ratio is a cumulative sum of logs along k, and
+    the column term k ln|p| - ln Gamma(1 + lam k) is computed once per
+    table.  Each row stops by the rule of sum_with_policy.  A row with a
+    nonpositive parameter, a non-finite partial sum, no stop within
+    _ROW_TERMS terms or a cancelled value is evaluated by the scalar engine
+    when the caller reaches it, so that engine raises every pole,
+    divergence, term and cancellation error.
     """
 
-    def __init__(self, lam: float, p: complex, policy: SeriesPolicy, raw: bool = False):
+    def __init__(self, lam: float, p: complex, policy: SeriesPolicy):
         self.lam = lam
         self.p = p
         self.policy = policy
-        self.raw = raw
         terms = min(_ROW_TERMS, policy.max_terms)
         self._j = np.arange(terms - 1.0)
         self._column = np.array([-math.lgamma(1.0 + lam * k) for k in range(terms)])
@@ -327,9 +323,6 @@ class _InnerTable:
             np.cumsum(np.log((sa + j) * (sb + j) / ((sc + 2.0 * j) * (sc + (2.0 * j + 1.0)))),
                       axis=1, out=log_term[:, 1:])
             log_term += self._column
-            if self.raw:
-                log_term += np.array([math.lgamma(x) + math.lgamma(y) - math.lgamma(z)
-                                      for x, y, z in zip(sa[:, 0], sb[:, 0], sc[:, 0])])[:, None]
             term = np.exp(log_term) * self._phase
             partial = np.cumsum(term, axis=1)
             mag = np.abs(term)
@@ -349,7 +342,7 @@ class _InnerTable:
             else:
                 a, b, c = params[:, i]
                 spec = WrightSpec(((a, 1.0), (b, 1.0), (1.0, 1.0)), ((c, 2.0), (1.0, self.lam)))
-                yield (wright_psi if self.raw else wright_psi_normalized)(spec, self.p, policy)
+                yield wright_psi_normalized(spec, self.p, policy)
 
     def ladder(self, start: tuple, step: tuple) -> Iterator[SeriesResult]:
         """Rows start + d * step for d = 0, 1, ..., tabulated a block of d at a time."""
@@ -363,27 +356,25 @@ class _InnerTable:
 # ---------------------------------------------------------------------------
 
 
-def _diagonal_sum(u, v, rows: Iterator[SeriesResult]) -> complex:
-    """sum_m u[m] v[d-m] row_m over one diagonal d = len(u) - 1, added in order of m."""
-    values = np.array([row.value for row in rows])
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.add.accumulate(u * v[::-1] * values)[-1].item()
+def _binomial_product(alphas: Sequence[float], xs: Sequence[float]) -> Iterator:
+    """The degree coefficients of prod_i (1 - x_i t)^(-a_i), a block at a time."""
+    return _coefficients(np.multiply, np.ones_like, [(xi, (ai,)) for ai, xi in zip(alphas, xs)])
 
 
-def _lauricella_sum(alpha: float, beta: float, alphas: Sequence[float], xs: Sequence[float],
-                    lam: float, p: complex, policy: SeriesPolicy) -> SeriesResult:
+def _lauricella_sum(alpha: float, beta: float, product: Iterator,
+                    table: _InnerTable) -> SeriesResult:
     """The n-variable closed form, summed by total degree d.
 
-    The inner Wright factor depends only on d, so each degree is the
-    degree-d coefficient of the product of the per-variable binomial
-    streams times (alpha)_d / (alpha+beta)_d times one inner value, taken
-    from a ladder of inner rows tabulated a block of degrees at a time.
+    The inner Wright factor depends only on d, so each degree is
+    (alpha)_d / (alpha+beta)_d times the degree-d coefficient of the
+    binomial product (the iterator product) times one inner value, taken
+    from a ladder of the table's rows tabulated a block of degrees at a
+    time.  The sum stops by the table's policy.
     """
-    coefficients = _coefficients(np.multiply, lambda d: (alpha + d) / (alpha + beta + d),
-                                 [(xi, (ai,)) for ai, xi in zip(alphas, xs)])
-    inner = _InnerTable(lam, complex(p), policy).ladder((alpha, beta, alpha + beta),
-                                                        (1.0, 0.0, 1.0))
-    return sum_with_policy((c * row.value for c, row in zip(coefficients, inner)), policy)
+    ratio = _coefficients(np.multiply, lambda d: (alpha + d) / (alpha + beta + d))
+    inner = table.ladder((alpha, beta, alpha + beta), (1.0, 0.0, 1.0))
+    return sum_with_policy((r * c * row.value for r, c, row in zip(ratio, product, inner)),
+                           table.policy)
 
 
 def closed_form_theorem1(alpha: float, beta: float, alpha1: float, alpha2: float,
@@ -394,8 +385,8 @@ def closed_form_theorem1(alpha: float, beta: float, alpha1: float, alpha2: float
     At p = 0 this collapses to the F1 double series.
     """
     t1_spec(alpha, beta, alpha1, alpha2, x1, x2, lam, p).validate()
-    return _lauricella_sum(alpha, beta, (alpha1, alpha2), (x1, x2), lam, p,
-                           policy or SeriesPolicy())
+    return _lauricella_sum(alpha, beta, _binomial_product((alpha1, alpha2), (x1, x2)),
+                           _InnerTable(lam, complex(p), policy or SeriesPolicy()))
 
 
 def closed_form_theorem2(alpha: float, beta: float, alpha1: float, alpha2: float,
@@ -435,8 +426,8 @@ def closed_form_theorem3(alpha: float, beta: float, gamma: float, a: float, b: f
     auv = a * u + v
     width = b - a
     prefactor = auv ** gamma * width ** (alpha + beta - 1.0)
-    inner = _lauricella_sum(alpha, beta, (-gamma,), (-u * width / auv,), lam,
-                            complex(p) * width * width, policy or SeriesPolicy())
+    inner = _lauricella_sum(alpha, beta, _binomial_product((-gamma,), (-u * width / auv,)),
+                            _InnerTable(lam, complex(p) * width * width, policy or SeriesPolicy()))
     return SeriesResult(prefactor * inner.value, inner.terms_used,
                         abs(prefactor) * inner.tail_estimate)
 
@@ -466,7 +457,8 @@ def closed_form_lauricella(alpha: float, beta: float, alphas: Sequence[float],
     p = 0.
     """
     tn_spec(alpha, beta, alphas, xs, lam, p).validate()
-    return _lauricella_sum(alpha, beta, alphas, xs, lam, p, policy or SeriesPolicy())
+    return _lauricella_sum(alpha, beta, _binomial_product(alphas, xs),
+                           _InnerTable(lam, complex(p), policy or SeriesPolicy()))
 
 
 # ---------------------------------------------------------------------------
@@ -595,54 +587,50 @@ class GeneratingIntegralSpec:
         self.gen.check_argument(self.t)
 
 
+def factor_pairs(alphas: Sequence[float], xs: Sequence[float]) -> tuple:
+    """The (a_i, x_i) pairs of prod_i (1 - x_i u)^(-a_i); the lists must match."""
+    if len(alphas) != len(xs):
+        raise DomainError(f"product factors need as many alphas as xs, got "
+                          f"{len(alphas)} and {len(xs)}")
+    return tuple(zip(alphas, xs))
+
+
 def generating_integral_closed_form(gen, r: float, s: float, delta: float, omega: float,
                                     lam: float, p: complex, t: complex,
                                     product_factors: Sequence[tuple[float, float]] = (),
                                     policy: SeriesPolicy | None = None) -> SeriesResult:
-    """Series value of the generating-function integral.
+    """Series value of the generating-function integral (raw, without 1/B).
 
-    Without product factors this is a single sum of generator coefficients
-    times raw inner Wright values.  With factors (a_i, x_i) the extra
-    binomial streams shift the first upper parameter, and the combined
-    multi-index sum is grouped by total degree.
+    G is expanded term by term: term n is coefficient(n) t^n times
+    B(a_n, b_n) times the normalized integral at a_n = r + delta n,
+    b_n = s - r + omega n.  Without product factors that integral is the
+    inner Wright row (a_n, b_n, a_n + b_n), from one ladder; with factors
+    (a_i, x_i) it is the n-variable closed form at (a_n, b_n), whose
+    binomial product is built once and shared by every n.  terms_used and
+    tail_estimate cover the sum over n only; each inner sum stops by the
+    policy itself, and its own truncation error is left out.
     """
     policy = policy or SeriesPolicy()
     t = complex(t)
     p = complex(p)
     factors = tuple(product_factors)
     GeneratingIntegralSpec(gen, r, s, delta, omega, lam, p, t, factors).validate()
+    table = _InnerTable(lam, p, policy)
+    if factors:
+        # each copy of the tee reads the same coefficients from degree 0
+        product, = itertools.tee(_binomial_product(*zip(*factors)), 1)
+        inner = (_lauricella_sum(r + delta * n, s - r + omega * n, copy.copy(product), table)
+                 for n in itertools.count())
+    else:
+        inner = table.ladder((r, s - r, s), (delta, omega, delta + omega))
 
-    if not factors:
-        inner = _InnerTable(lam, p, policy, raw=True).ladder((r, s - r, s),
-                                                             (delta, omega, delta + omega))
-
-        def terms():
-            n = 0
-            tn = 1.0 + 0.0j
-            while True:
-                yield gen.coefficient(n) * tn * next(inner).value
-                tn *= t
-                n += 1
-
-        return sum_with_policy(terms(), policy)
-
-    inner = _InnerTable(lam, p, policy, raw=True)
-
-    def block(start, count):
-        product = _product([_poch_power(xi, (ai,), count) for ai, xi in factors], count)
-        return [product[:d + 1] for d in range(start, count)]
-
-    def degree_terms():
-        weights = []  # gen.coefficient(n) t^n, one more per degree reached
+    def terms():
         tn = 1.0 + 0.0j
-        for d, product in enumerate(_in_blocks(block)):
-            weights.append(gen.coefficient(d) * tn)
+        for n, row in enumerate(inner):
+            yield gen.coefficient(n) * tn * beta_fn(r + delta * n, s - r + omega * n) * row.value
             tn *= t
-            n = np.arange(d + 1.0)
-            yield _diagonal_sum(weights, product, inner.rows(
-                r + delta * n + (d - n), s - r + omega * n, s + (delta + omega) * n + (d - n)))
 
-    return sum_with_policy(degree_terms(), policy)
+    return sum_with_policy(terms(), policy)
 
 
 def reduce_lambda1(spec: WrightSpec, p: complex,

@@ -63,7 +63,7 @@ def _product(streams: Sequence[np.ndarray], count: int) -> np.ndarray:
 
 def _running(op: np.ufunc, steps: np.ndarray) -> np.ndarray:
     """1, 1 op s_0, (1 op s_0) op s_1, ...: a one-step *= or /= update, in order."""
-    return op.accumulate(np.r_[1.0, steps])
+    return op.accumulate(np.concatenate(([1.0], steps)))
 
 
 def _in_blocks(block: Callable[[int, int], list]) -> Iterator:

@@ -314,7 +314,7 @@ def check_generating_domain(r: float, s: float, delta: float, omega: float, lam:
     """Raise DomainError unless the generating-function integral converges."""
     if not s > r > 0.0:
         raise DomainError(f"need s > r > 0, got r={r!r}, s={s!r}")
-    if delta < 0.0 or omega < 0.0 or delta + omega <= 0.0:
+    if not (delta >= 0.0 and omega >= 0.0 and delta + omega > 0.0):
         raise DomainError("need delta, omega >= 0 with delta + omega > 0")
     if not lam >= 0.0:
         raise DomainError("need lam >= 0")

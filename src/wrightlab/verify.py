@@ -20,6 +20,7 @@ import fnmatch
 import io
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -67,9 +68,11 @@ class GridConfig:
     _KEYS = {"seed", "format", "tolerance", "tolerances", "cases", "grids", "jobs"}
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "GridConfig":
+    def from_dict(cls, raw: dict, overrides: dict | None = None) -> "GridConfig":
+        """Validate raw with the fields of overrides (the verify flags) put over it."""
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
+        raw = {**raw, **(overrides or {})}
         unknown = set(raw) - cls._KEYS
         if unknown:
             raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
@@ -83,8 +86,8 @@ class GridConfig:
                 raise ConfigError("field 'format' must be 'json' or 'csv'")
             cfg.fmt = raw["format"]
         if "tolerance" in raw:
-            if not _is_number(raw["tolerance"]) or not raw["tolerance"] > 0:
-                raise ConfigError("field 'tolerance' must be a positive number")
+            if not _is_tolerance(raw["tolerance"]):
+                raise ConfigError("field 'tolerance' must be a positive finite number")
             cfg.tolerance = float(raw["tolerance"])
         if "tolerances" in raw:
             if not isinstance(raw["tolerances"], dict):
@@ -92,8 +95,8 @@ class GridConfig:
             for name, tol in raw["tolerances"].items():
                 if name not in FAMILIES:
                     raise ConfigError(f"tolerances: unknown case {name!r}")
-                if not _is_number(tol) or not tol > 0:
-                    raise ConfigError(f"tolerances[{name!r}] must be a positive number")
+                if not _is_tolerance(tol):
+                    raise ConfigError(f"tolerances[{name!r}] must be a positive finite number")
             cfg.tolerances = {k: float(v) for k, v in raw["tolerances"].items()}
         if "cases" in raw:
             if not isinstance(raw["cases"], list) or not all(isinstance(c, str) for c in raw["cases"]):
@@ -119,14 +122,14 @@ class GridConfig:
         return cfg
 
     @classmethod
-    def from_file(cls, path: str) -> "GridConfig":
+    def from_file(cls, path: str, overrides: dict | None = None) -> "GridConfig":
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config parse error at line {exc.lineno}, column {exc.colno}: "
                               f"{exc.msg}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(raw, overrides)
 
 
 _COMPLEX_PARAMS = {"p", "t", "z"}
@@ -134,6 +137,11 @@ _COMPLEX_PARAMS = {"p", "t", "z"}
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_tolerance(value) -> bool:
+    # NaN compares false and inf would pass every record
+    return _is_number(value) and 0.0 < value <= sys.float_info.max
 
 
 def _check_grid_values(family: str, name: str, values):

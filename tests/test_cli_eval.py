@@ -93,6 +93,10 @@ NAN_WEIGHT = [
      "lam=NaN", "p=1"],
     ["generating", "gen=gegenbauer", "a=0.35", "r=1.5", "s=3", "delta=1", "omega=1",
      "lam=NaN", "p=0.6", "t=0.3"],
+    ["generating", "gen=gegenbauer", "a=0.35", "r=1.5", "s=3", "delta=NaN", "omega=1",
+     "lam=1", "p=0.6", "t=0.3"],
+    ["generating", "gen=gegenbauer", "a=0.35", "r=1.5", "s=3", "delta=1", "omega=NaN",
+     "lam=1", "p=0.6", "t=0.3"],
 ]
 
 

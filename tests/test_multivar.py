@@ -9,6 +9,7 @@ from wrightlab import (
     DivergenceError,
     DomainError,
     PoleError,
+    SeriesPolicy,
     appell_f1,
     appell_f3,
     closed_form_theorem1,
@@ -21,6 +22,7 @@ from wrightlab import (
     lauricella_fd,
 )
 from wrightlab.cli import main
+from wrightlab.identities import _binomial_product, _InnerTable, _lauricella_sum
 from wrightlab.multivar import _poch_power, _product
 from wrightlab.scalars import log_pochhammer_signed, pochhammer
 
@@ -300,19 +302,35 @@ BLOCK_EDGE_POINTS = [
      1.4671183066096967),
     (closed_form_theorem3, (0.94, 1.06, -0.21, 0.0, 1.0, -0.79, 1.0, 1.0, 0.5), 97,
      1.2226602615620328),
-    (_theorem6, (0.66, [0.67, 1.29], [0.56, 0.25], 0.8, 2.1, 1.0, 1.0, 1.0, 0.37, 0.74), 48,
+]
+
+# Theorem 6 sums generator terms; the edge is where its first inner sum
+# (n = 0) stops, followed by the number of generator terms and the value.
+THEOREM6_EDGE_POINTS = [
+    ((0.66, [0.67, 1.29], [0.56, 0.25], 0.8, 2.1, 1.0, 1.0, 1.0, 0.37, 0.74), 48, 21,
      1.6286110283521802),
-    (_theorem6, (0.7, [0.6, 1.37], [0.77, 0.43], 0.8, 2.1, 1.0, 1.0, 1.0, 0.65, 0.61), 97,
+    ((0.7, [0.6, 1.37], [0.77, 0.43], 0.8, 2.1, 1.0, 1.0, 1.0, 0.65, 0.61), 97, 19,
      2.1798596090114724),
 ]
 
 
-@pytest.mark.parametrize("fn, args, terms, value", BLOCK_EDGE_POINTS,
-                         ids=[f"{e[0].__name__}-{e[2]}" for e in BLOCK_EDGE_POINTS])
+@pytest.mark.parametrize("fn, args, terms, value", [
+    *(pytest.param(fn, args, terms, value, id=f"{fn.__name__}-{terms}")
+      for fn, args, terms, value in BLOCK_EDGE_POINTS),
+    *(pytest.param(_theorem6, args, terms, value, id=f"_theorem6-{edge}")
+      for args, edge, terms, value in THEOREM6_EDGE_POINTS)])
 def test_sums_across_block_edges(fn, args, terms, value):
     result = fn(*args)
     assert result.terms_used == terms
     assert rel(result.value, value) <= 1e-15
+
+
+@pytest.mark.parametrize("args, edge", [e[:2] for e in THEOREM6_EDGE_POINTS],
+                         ids=[str(e[1]) for e in THEOREM6_EDGE_POINTS])
+def test_theorem6_first_inner_sum_sits_on_the_edge(args, edge):
+    a, alphas, xs, r, s, delta, omega, lam, p, t = args
+    table = _InnerTable(lam, complex(p), SeriesPolicy())
+    assert _lauricella_sum(r, s - r, _binomial_product(alphas, xs), table).terms_used == edge
 
 
 class TestOverflowPastTheStop:

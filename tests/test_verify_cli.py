@@ -60,10 +60,12 @@ class TestGridConfig:
             GridConfig.from_file(str(path))
 
     # JSON true/false are Python ints and NaN compares false: neither may
-    # pass for a number (tolerance true used to pass every point)
+    # pass for a number (tolerance true used to pass every point), and an
+    # infinite tolerance would pass every point too
     @pytest.mark.parametrize("raw", [
         {"tolerance": True}, {"seed": False}, {"jobs": True}, {"tolerance": math.nan},
         {"tolerances": {"theorem4": True}}, {"tolerances": {"theorem4": math.nan}},
+        {"tolerance": math.inf}, {"tolerances": {"theorem4": math.inf}},
     ], ids=lambda raw: json.dumps(raw))
     def test_booleans_and_nan_are_not_numbers(self, raw, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -71,6 +73,20 @@ class TestGridConfig:
         assert main(["verify", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
         assert not (tmp_path / "r.json").exists()
+
+
+    # the flags go through the same checks as the config fields they set
+    @pytest.mark.parametrize("flags", [
+        ["--tolerance", "nan"], ["--tolerance", "-1"], ["--tolerance", "inf"],
+        ["--jobs", "0"], ["--jobs", "-2"],
+    ], ids=" ".join)
+    def test_verify_flags_are_checked_like_the_config(self, flags, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(small_config()))
+        for config in ([], ["--config", str(path)]):
+            assert main(["verify", *config, *flags, "--out", str(tmp_path / "r.json")]) == 1
+            assert capsys.readouterr().err.startswith("config error: ")
+            assert not (tmp_path / "r.json").exists()
 
 
 class TestRunner:
@@ -144,6 +160,14 @@ class TestRunner:
         report = run_verification(cfg)
         assert len(report["records"]) == 12
         assert {r["status"] for r in report["records"]} == {"skipped-domain"}
+        assert summarize(report)[1] == 0
+
+    def test_theorem6_point_with_mismatched_factors_is_skipped(self):
+        # zip would drop the unmatched exponent and check a one-factor value
+        cfg = GridConfig.from_dict({"cases": ["theorem6-binomial"], "grids": {
+            "theorem6-binomial": {"alphas": [[0.4, 0.7, 0.9]], "xs": [[0.3, -0.2]]}}})
+        report = run_verification(cfg)
+        assert [r["status"] for r in report["records"]] == ["skipped-domain"] * 2
         assert summarize(report)[1] == 0
 
     def test_theorem4_lambda_zero_inside_xi_max_passes(self):
