@@ -34,7 +34,6 @@ from .multivar import appell_f1, appell_f3, gegenbauer, humbert_phi2, lauricella
 from .quadrature import (
     QuadraturePolicy,
     QuadratureResult,
-    evaluate_generating_integral_direct,
     evaluate_integral_direct,
     tanh_sinh_integrate,
 )
@@ -43,7 +42,7 @@ from .identities import (
     CustomGen,
     EulerIntegralSpec,
     GegenbauerGen,
-    GeneratingIntegralSpec,
+    GeneratingFamily,
     HumbertGen,
     IdentityCase,
     T1Family,
@@ -58,6 +57,7 @@ from .identities import (
     closed_form_theorem3,
     closed_form_theorem4,
     euler_case,
+    evaluate_generating_integral_direct,
     generating_integral_closed_form,
     reduce_lambda1,
     t1_spec,

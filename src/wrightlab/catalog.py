@@ -19,7 +19,6 @@ from typing import Callable
 from .identities import (
     BinomialGen,
     GegenbauerGen,
-    GeneratingIntegralSpec,
     HumbertGen,
     IdentityCase,
     application_case,
@@ -30,14 +29,13 @@ from .identities import (
     closed_form_theorem4,
     euler_case,
     factor_pairs,
-    generating_integral_closed_form,
+    generating_case,
     t1_spec,
     t2_spec,
     t3_spec,
     t4_spec,
     tn_spec,
 )
-from .quadrature import evaluate_generating_integral_direct
 
 __all__ = ["CaseFamily", "FAMILIES", "family_names", "iter_default_points"]
 
@@ -75,42 +73,26 @@ def _euler_builder(name: str, spec_fn: Callable, closed_fn: Callable):
 # -- generating-function families -------------------------------------------
 
 
-def _gen_case(name, gen, r, s, delta, omega, lam, p, t, factors=()):
-    spec = GeneratingIntegralSpec(gen, r, s, delta, omega, lam, complex(p), complex(t),
-                                  tuple(factors))
-    spec.validate()
-
-    def closed(pol):
-        return generating_integral_closed_form(gen, r, s, delta, omega, lam, p, t,
-                                               factors, pol)
-
-    def oracle(qpolicy=None):
-        return evaluate_generating_integral_direct(gen, r, s, delta, omega, lam, p, t,
-                                                   factors, qpolicy)
-
-    return IdentityCase(name=name, spec=spec, closed_form=closed, oracle=oracle)
-
-
 def _build_gen_binomial(a, r, s, delta, omega, lam, p, t):
-    return _gen_case("gen-binomial", BinomialGen(a), r, s, delta, omega, lam, p, t)
+    return generating_case("gen-binomial", BinomialGen(a), r, s, delta, omega, lam, p, t)
 
 
 def _build_gen_humbert(a, b, x, r, s, delta, omega, lam, p, t):
-    return _gen_case("gen-humbert", HumbertGen(a, b, x), r, s, delta, omega, lam, p, t)
+    return generating_case("gen-humbert", HumbertGen(a, b, x), r, s, delta, omega, lam, p, t)
 
 
 def _build_gen_gegenbauer(a, r, s, delta, omega, lam, p, t):
-    return _gen_case("gen-gegenbauer", GegenbauerGen(a), r, s, delta, omega, lam, p, t)
+    return generating_case("gen-gegenbauer", GegenbauerGen(a), r, s, delta, omega, lam, p, t)
 
 
 def _build_gen_symmetric(a, r, omega, lam, p, t):
     # Symmetric exponent specialization: s = 2r with equal powers in u, 1-u.
-    return _gen_case("gen-symmetric", BinomialGen(a), r, 2.0 * r, omega, omega, lam, p, t)
+    return generating_case("gen-symmetric", BinomialGen(a), r, 2.0 * r, omega, omega, lam, p, t)
 
 
 def _build_theorem6(a, alphas, xs, r, s, delta, omega, lam, p, t):
-    return _gen_case("theorem6-binomial", BinomialGen(a), r, s, delta, omega, lam, p, t,
-                     factor_pairs(alphas, xs))
+    return generating_case("theorem6-binomial", BinomialGen(a), r, s, delta, omega, lam, p, t,
+                           factor_pairs(alphas, xs))
 
 
 # -- randomized draws --------------------------------------------------------

@@ -44,7 +44,7 @@ from .quadrature import evaluate_integral_direct
 from .scalars import beta_fn, gamma_fn, log_gamma, pochhammer
 from .series import SeriesPolicy, SeriesResult, hyper_pfq, mittag_leffler, wright_psi, \
     wright_psi_normalized
-from .verify import ConfigError, GridConfig, load_report, report_json_text, \
+from .verify import GridConfig, load_report, report_json_text, \
     report_to_csv, run_verification, summarize, write_report
 
 # Greek spellings accepted on the command line for convenience.
@@ -237,6 +237,16 @@ def _cmd_eval(args) -> int:
         return 1
 
 
+def _write(report: dict, path: str, fmt: str) -> int:
+    """Write the report: exit code 0, or 1 with a one-line error if path is unwritable."""
+    try:
+        write_report(report, path, fmt)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def _cmd_verify(args) -> int:
     flags = {"seed": args.seed, "tolerance": args.tolerance, "cases": args.case,
              "jobs": args.jobs, "format": args.format}
@@ -244,11 +254,13 @@ def _cmd_verify(args) -> int:
     try:
         cfg = (GridConfig.from_file(args.config, flags) if args.config
                else GridConfig.from_dict(flags))
-    except (ConfigError, OSError) as exc:
+        SeriesPolicy.from_env()  # every point reads it; refuse a bad one before any point
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     report = run_verification(cfg)
-    write_report(report, args.out, cfg.fmt)
+    if _write(report, args.out, cfg.fmt):
+        return 1
     line, code = summarize(report)
     print(f"{line} -> {args.out}")
     return code
@@ -260,12 +272,9 @@ def _cmd_report(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"report error: {exc}", file=sys.stderr)
         return 1
-    text = report_json_text(report) if args.format == "json" else report_to_csv(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return _write(report, args.out, args.format)
+    sys.stdout.write(report_json_text(report) if args.format == "json" else report_to_csv(report))
     return 0
 
 

@@ -6,14 +6,15 @@ quadrature.evaluate_integral_direct obtains by direct integration:
     I = (1/B(alpha, beta)) * integral_a^b (t-a)^(alpha-1) (b-t)^(beta-1)
             chi(t)^gamma E_lam[p xi(t)] dt
 
-for the chi/xi families below, plus the generating-function integrals
-(raw, without the beta normalization).
+for the chi/xi families below.  The generating-function integrals are one
+more family: with alpha = r, beta = s - r and chi = G(t x^delta
+(1-x)^omega) prod_i (1 - x_i x)^(-a_i), their raw value (without 1/B) is
+B(r, s - r) times I.
 
 Each spec owns its domain: EulerIntegralSpec.validate runs the common
-checks, its family's check and the lam = 0 gate; GeneratingIntegralSpec
-adds the generator's series condition to quadrature.check_generating_domain.
-Every closed form validates by building its spec, and euler_case binds a
-spec to both routes, so both refuse the same points.
+checks, its family's check and the lam = 0 gate.  Every closed form
+validates by building its spec, and euler_case binds a spec to both
+routes, so both refuse the same points.
 
 T1, T3 and the n-variable form are one outer sum (_lauricella_sum): outer
 coefficients, built as arrays a block of degrees at a time by the helpers
@@ -42,7 +43,7 @@ import numpy as np
 
 from .errors import DomainError
 from .multivar import BLOCK, _coefficients, appell_f3, gegenbauer
-from .quadrature import QuadratureResult, check_generating_domain, evaluate_integral_direct
+from .quadrature import QuadraturePolicy, QuadratureResult, evaluate_integral_direct
 from .scalars import _is_nonpositive_integer, beta_fn, pochhammer
 from .series import (
     CANCELLATION_LIMIT,
@@ -60,12 +61,12 @@ __all__ = [
     "T3Family",
     "T4Family",
     "TNFamily",
+    "GeneratingFamily",
     "EulerIntegralSpec",
     "BinomialGen",
     "HumbertGen",
     "GegenbauerGen",
     "CustomGen",
-    "GeneratingIntegralSpec",
     "IdentityCase",
     "closed_form_theorem1",
     "closed_form_theorem2",
@@ -73,6 +74,7 @@ __all__ = [
     "closed_form_theorem4",
     "closed_form_lauricella",
     "generating_integral_closed_form",
+    "evaluate_generating_integral_direct",
     "reduce_lambda1",
     "application_case",
     "euler_case",
@@ -214,6 +216,31 @@ class TNFamily(_Family):
 
 
 @dataclass(frozen=True)
+class GeneratingFamily(_Family):
+    """chi = G(t x^delta (1-x)^omega) prod_i (1 - x_i x)^(-a_i), xi = x(1-x), on (0, 1)."""
+
+    gen: object
+    delta: float
+    omega: float
+    t: complex
+    factors: tuple[tuple[float, float], ...]
+
+    def check(self, spec):
+        _check_unit_interval(spec)
+        if not (self.delta >= 0.0 and self.omega >= 0.0 and self.delta + self.omega > 0.0):
+            raise DomainError("need delta, omega >= 0 with delta + omega > 0")
+        if any(abs(xi) >= 1.0 for _, xi in self.factors):
+            raise DomainError("product factors need |x_i| < 1")
+        self.gen.check_argument(self.t)
+
+    def chi(self, x, da, db, width):
+        out = self.gen.node_values(self.t * da ** self.delta * db ** self.omega)
+        for ai, xi in self.factors:
+            out = out * (1.0 - xi * x) ** (-ai)
+        return out
+
+
+@dataclass(frozen=True)
 class EulerIntegralSpec:
     """One fully-bound instance of the weighted-beta integral."""
 
@@ -262,6 +289,11 @@ def t4_spec(alpha, beta, a, b, nu, mu, lam, p) -> EulerIntegralSpec:
 def tn_spec(alpha, beta, alphas, xs, lam, p) -> EulerIntegralSpec:
     return EulerIntegralSpec(alpha, beta, 1.0, 0.0, 1.0, lam, complex(p),
                              TNFamily(tuple(alphas), tuple(xs)))
+
+
+def generating_spec(gen, r, s, delta, omega, lam, p, t, factors=()) -> EulerIntegralSpec:
+    return EulerIntegralSpec(r, s - r, 1.0, 0.0, 1.0, lam, complex(p),
+                             GeneratingFamily(gen, delta, omega, complex(t), tuple(factors)))
 
 
 # ---------------------------------------------------------------------------
@@ -567,26 +599,6 @@ class CustomGen:
         pass
 
 
-@dataclass(frozen=True)
-class GeneratingIntegralSpec:
-    """Bound parameter set of one generating-function integral."""
-
-    gen: object
-    r: float
-    s: float
-    delta: float
-    omega: float
-    lam: float
-    p: complex
-    t: complex
-    product_factors: tuple[tuple[float, float], ...] = ()
-
-    def validate(self):
-        check_generating_domain(self.r, self.s, self.delta, self.omega, self.lam, self.p,
-                                self.product_factors)
-        self.gen.check_argument(self.t)
-
-
 def factor_pairs(alphas: Sequence[float], xs: Sequence[float]) -> tuple:
     """The (a_i, x_i) pairs of prod_i (1 - x_i u)^(-a_i); the lists must match."""
     if len(alphas) != len(xs):
@@ -614,7 +626,7 @@ def generating_integral_closed_form(gen, r: float, s: float, delta: float, omega
     t = complex(t)
     p = complex(p)
     factors = tuple(product_factors)
-    GeneratingIntegralSpec(gen, r, s, delta, omega, lam, p, t, factors).validate()
+    generating_spec(gen, r, s, delta, omega, lam, p, t, factors).validate()
     table = _InnerTable(lam, p, policy)
     if factors:
         # each copy of the tee reads the same coefficients from degree 0
@@ -687,6 +699,26 @@ def euler_case(name: str, spec: EulerIntegralSpec, closed: Callable[[SeriesPolic
                                 raw.evaluations)
 
     return IdentityCase(name, spec, closed, oracle)
+
+
+def generating_case(name, gen, r, s, delta, omega, lam, p, t, factors=()) -> IdentityCase:
+    """Bind a generating-function integral to its closed form and to the
+    oracle of its normalized spec, scaled back by B(r, s - r)."""
+    spec = generating_spec(gen, r, s, delta, omega, lam, p, t, factors)
+    spec.validate()  # before beta_fn, which would raise PoleError out of the domain
+    return euler_case(name, spec, lambda pol: generating_integral_closed_form(
+        gen, r, s, delta, omega, lam, p, t, factors, pol), beta_fn(r, s - r))
+
+
+def evaluate_generating_integral_direct(
+        gen, r: float, s: float, delta: float, omega: float, lam: float, p: complex,
+        t: complex, product_factors: Sequence[tuple[float, float]] = (),
+        qpolicy: QuadraturePolicy | None = None) -> QuadratureResult:
+    """Direct quadrature of the generating-function integral (raw, without 1/B):
+    u^(r-1) (1-u)^(s-r-1) G(t u^delta (1-u)^omega) prod_i (1-x_i u)^(-a_i)
+    E_lam[p u (1-u)] over (0, 1), with G in the generator's closed node form."""
+    return generating_case("generating", gen, r, s, delta, omega, lam, p, t,
+                           product_factors).oracle(qpolicy)
 
 
 def application_case(case_id, p: complex, **params) -> IdentityCase:

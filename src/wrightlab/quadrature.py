@@ -22,8 +22,8 @@ when a singular factor is present.
 
 The direct integral of the Euler-type family knows no family by name: it
 validates the spec, which owns the domain, and calls the node forms chi
-and xi that each family of the identities module owns.  The domain of the
-generating-function integral is checked once, in check_generating_domain.
+and xi that each family of the identities module owns; the generating-
+function integrals are one of those families.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -44,8 +44,6 @@ __all__ = [
     "QuadratureResult",
     "tanh_sinh_integrate",
     "evaluate_integral_direct",
-    "check_generating_domain",
-    "evaluate_generating_integral_direct",
 ]
 
 # Abscissa parameter cutoff: sigma(t) = 1/(1 + exp(pi*sinh t)) stays a
@@ -307,45 +305,3 @@ def evaluate_integral_direct(spec, qpolicy: QuadraturePolicy | None = None) -> Q
     norm = math.exp(log_gamma(spec.alpha) + log_gamma(spec.beta)
                     - log_gamma(spec.alpha + spec.beta))
     return QuadratureResult(raw.value / norm, raw.err_estimate / norm, raw.evaluations)
-
-
-def check_generating_domain(r: float, s: float, delta: float, omega: float, lam: float,
-                            p: complex, product_factors: Sequence[tuple[float, float]] = ()):
-    """Raise DomainError unless the generating-function integral converges."""
-    if not s > r > 0.0:
-        raise DomainError(f"need s > r > 0, got r={r!r}, s={s!r}")
-    if not (delta >= 0.0 and omega >= 0.0 and delta + omega > 0.0):
-        raise DomainError("need delta, omega >= 0 with delta + omega > 0")
-    if not lam >= 0.0:
-        raise DomainError("need lam >= 0")
-    if any(abs(xi) >= 1.0 for _, xi in product_factors):
-        raise DomainError("product factors need |x_i| < 1")
-    if lam == 0.0 and abs(complex(p)) * 0.25 >= 1.0:
-        raise DomainError("lam = 0 requires |p| u(1-u) < 1 on (0, 1)")
-
-
-def evaluate_generating_integral_direct(
-        gen, r: float, s: float, delta: float, omega: float, lam: float, p: complex,
-        t: complex, product_factors: Sequence[tuple[float, float]] = (),
-        qpolicy: QuadraturePolicy | None = None) -> QuadratureResult:
-    """Direct quadrature of the generating-function integral.
-
-    Integrates u^(r-1) (1-u)^(s-r-1) G(x, t u^delta (1-u)^omega)
-    prod_i (1-x_i u)^(-a_i) E_lam[p u (1-u)] over (0, 1), where G is the
-    generator's closed node form.
-    """
-    qpolicy = qpolicy or QuadraturePolicy()
-    check_generating_domain(r, s, delta, omega, lam, p, product_factors)
-    p = complex(p)
-    t = complex(t)
-
-    def f(u, da, db):
-        tau = t * da ** delta * db ** omega
-        core = da ** (r - 1.0) * db ** (s - r - 1.0) * gen.node_values(tau)
-        for ai, xi in product_factors:
-            core = core * (1.0 - xi * u) ** (-ai)
-        if p != 0.0:
-            core = core * _ml_values(lam, p * da * db)
-        return core
-
-    return _integrate_vec(f, 0.0, 1.0, qpolicy)

@@ -101,6 +101,11 @@ class GridConfig:
         if "cases" in raw:
             if not isinstance(raw["cases"], list) or not all(isinstance(c, str) for c in raw["cases"]):
                 raise ConfigError("field 'cases' must be a list of name patterns")
+            if not raw["cases"]:
+                raise ConfigError("field 'cases' must name at least one pattern")
+            for pattern in raw["cases"]:
+                if not fnmatch.filter(FAMILIES, pattern):
+                    raise ConfigError(f"cases: pattern {pattern!r} matches no case family")
             cfg.cases = list(raw["cases"])
         if "grids" in raw:
             if not isinstance(raw["grids"], dict):

@@ -172,6 +172,29 @@ def test_custom_generator():
         evaluate_generating_integral_direct(gen, 0.8, 2.1, 1.0, 1.0, 1.0, 0.0, 0.3)
 
 
+
+# Both routes build the one spec, so they refuse the same points; the
+# oracle used to skip the generator's own argument check (the last two).
+_OUT_OF_DOMAIN = {
+    "r<=0": (BinomialGen(0.7), 0.0, 2.1, 1.0, 1.0, 1.0, 0.6, 0.3),
+    "s<=r": (BinomialGen(0.7), 0.8, 0.8, 1.0, 1.0, 1.0, 0.6, 0.3),
+    "delta=omega=0": (BinomialGen(0.7), 0.8, 2.1, 0.0, 0.0, 1.0, 0.6, 0.3),
+    "delta=nan": (BinomialGen(0.7), 0.8, 2.1, math.nan, 1.0, 1.0, 0.6, 0.3),
+    "|x_i|>=1": (BinomialGen(0.7), 0.8, 2.1, 1.0, 1.0, 1.0, 0.6, 0.3, [(0.4, 1.0)]),
+    "lam=0,|p|>=4": (BinomialGen(0.7), 0.8, 2.1, 1.0, 1.0, 0.0, 4.0, 0.3),
+    "binomial|xt|>=1": (BinomialGen(0.7), 0.8, 2.1, 1.0, 1.0, 1.0, 0.6, 1.2),
+    "gegenbauer|t|>=1": (GegenbauerGen(0.35), 1.5, 3.0, 1.0, 1.0, 1.0, 0.6, 1.0),
+}
+
+
+@pytest.mark.parametrize("route", [generating_integral_closed_form,
+                                   evaluate_generating_integral_direct],
+                         ids=lambda route: route.__name__)
+@pytest.mark.parametrize("args", list(_OUT_OF_DOMAIN.values()), ids=list(_OUT_OF_DOMAIN))
+def test_both_routes_refuse_the_same_points(route, args):
+    with pytest.raises(DomainError):
+        route(*args)
+
 def test_parameter_gates():
     with pytest.raises(DomainError):
         generating_integral_closed_form(BinomialGen(0.7), 2.1, 0.8, 1.0, 1.0, 1.0, 0.0, 0.1)

@@ -53,6 +53,11 @@ class TestGridConfig:
         with pytest.raises(ConfigError, match="unknown parameter"):
             GridConfig.from_dict({"grids": {"theorem4": {"zeta": [1]}}})
 
+    @pytest.mark.parametrize("cases", [["theorm1"], ["theorem4", "nosuch*"], []], ids=str)
+    def test_case_patterns_must_match_a_family(self, cases):
+        with pytest.raises(ConfigError, match="'cases'|pattern"):
+            GridConfig.from_dict({"cases": cases})
+
     def test_parse_diagnostics(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"seed": 1,,}')
@@ -338,6 +343,28 @@ class TestCli:
         src = pathlib.Path(__file__).resolve().parent.parent / "src"
         env = {**os.environ, "PYTHONPATH": str(src)}
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    # bad environment, case or output input is one line on stderr and exit 1,
+    # never a traceback, and no output file
+    @pytest.mark.parametrize("env, args", [
+        ({"WRIGHTLAB_MAX_TERMS": "abc"}, ["verify"]),
+        ({"WRIGHTLAB_MAX_TERMS": "0"}, ["verify"]),
+        ({}, ["verify", "--case", "theorm1"]),
+        ({}, ["verify", "--case", "ex4.1", "--out", "missing/r.json"]),
+        ({}, ["report", "r.json", "--format", "csv", "--out", "missing/r.csv"]),
+    ], ids=lambda value: " ".join(value if isinstance(value, list)
+                                  else [f"{key}={v}" for key, v in value.items()]))
+    def test_bad_input_exits_1_without_traceback(self, env, args, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps(small_config()))
+        assert main(["verify", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "r.json")]) == 0
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        run = subprocess.run([sys.executable, "-m", "wrightlab", *args], cwd=tmp_path,
+                             env={**os.environ, "PYTHONPATH": str(src), **env},
+                             capture_output=True, text=True)
+        assert run.returncode == 1
+        assert "Traceback" not in run.stderr and len(run.stderr.splitlines()) == 1
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "r.json"]
 
     def test_eval_node_overflow_exits_3_without_warnings(self, capsys):
         with warnings.catch_warnings():
