@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -258,6 +259,11 @@ def _cmd_verify(args) -> int:
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    try:
+        open(args.out, "a").close()  # an unwritable path fails before any point; no truncation
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     report = run_verification(cfg)
     if _write(report, args.out, cfg.fmt):
         return 1
@@ -317,7 +323,14 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit: point it at devnull first
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ routes, so both refuse the same points.
 
 T1, T3 and the n-variable form are one outer sum (_lauricella_sum): outer
 coefficients, built as arrays a block of degrees at a time by the helpers
-of multivar, times one inner value per total degree.  The inner engine is
+of series, times one inner value per total degree.  The inner engine is
 a 3-by-2 Wright series with weight pattern (1,1,1; 2, lam), tabulated for
 blocks of degrees at once in log space (_InnerTable); rows the table
 cannot settle, and T4's single value, go through the scalar engine.  The
@@ -42,14 +42,16 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .multivar import BLOCK, _coefficients, appell_f3, gegenbauer
+from .multivar import appell_f3, gegenbauer
 from .quadrature import QuadraturePolicy, QuadratureResult, evaluate_integral_direct
 from .scalars import _is_nonpositive_integer, beta_fn, pochhammer
 from .series import (
+    BLOCK,
     CANCELLATION_LIMIT,
     SeriesPolicy,
     SeriesResult,
     WrightSpec,
+    _coefficients,
     hyper_pfq,
     sum_with_policy,
     wright_psi_normalized,

@@ -1,19 +1,24 @@
 """Truncated series engine: Wright functions, pFq and Mittag-Leffler.
 
-All summation follows one explicit policy: ascending term index, each term
-assembled in log space from signed log-gamma products (the inner row tables
-of identities.py use log-space cumulative sums), a consecutive-small-terms
-stopping rule, an operational divergence guard and a cancellation check.
-Identical inputs always consume an identical number of terms.
+All summation follows one explicit policy: ascending term index, a
+consecutive-small-terms stopping rule, a term budget, a divergence guard
+and a cancellation check; identical inputs consume identical term counts.
+Wright terms are assembled in log space from signed log-gamma products.
+pFq terms, and the coefficients of every multiple series and outer sum,
+are running products of one-step ratios, built a block of indices at a
+time (_coefficients, from _running, _product and _poch_power).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import CancellationError, DivergenceError, DomainError, MaxTermsError, PoleError
 from .scalars import _is_nonpositive_integer, log_gamma_signed
@@ -140,9 +145,7 @@ def sum_with_policy(terms: Iterator[complex], policy: SeriesPolicy) -> SeriesRes
     abs_sum = 0.0
     consecutive = 0
     k = -1
-    for k, term in enumerate(terms):
-        if k >= policy.max_terms:
-            break
+    for k, term in enumerate(itertools.islice(terms, policy.max_terms)):
         # abs of a complex with finite parts raises where its modulus overflows
         try:
             mag = abs(term)
@@ -189,6 +192,67 @@ def sum_with_policy(terms: Iterator[complex], policy: SeriesPolicy) -> SeriesRes
     raise MaxTermsError(f"stopping rule unmet after {k + 1} terms")
 
 
+# Coefficients built per block at first, doubled per block after; also the
+# number of inner rows identities._InnerTable tabulates along a ladder.
+BLOCK = 48
+
+
+def _poch_power(x: complex, params: Sequence[float], count: int) -> np.ndarray:
+    """The first count coefficients (a_1)_m ... (a_k)_m x^m / m!, by one-step updates."""
+    c = 1.0
+    out = [c]
+    for k in range(1, count):
+        for a in params:
+            c = c * (a + k - 1.0)
+        c = c * x / k
+        out.append(c)
+    return np.array(out)
+
+
+def _product(streams: Sequence[np.ndarray], count: int) -> np.ndarray:
+    """The first count degree coefficients of the product of the coefficient arrays."""
+    out = streams[0]
+    for stream in streams[1:]:
+        out = np.convolve(out, stream)[:count]
+    return out
+
+
+def _running(op: np.ufunc, steps: np.ndarray) -> np.ndarray:
+    """1, 1 op s_0, (1 op s_0) op s_1, ...: a one-step *= or /= update, in order."""
+    return op.accumulate(np.concatenate(([1.0], steps)))
+
+
+def _in_blocks(block: Callable[[int, int], list]) -> Iterator:
+    """The items of block(start, count) for count = BLOCK, 2 BLOCK, 4 BLOCK, ...
+
+    block(start, count) returns the list of items start .. count - 1 with
+    its numpy work done.  Items past the stopping degree are built but never
+    used, so overflow and invalid values in that work stay silent; a used
+    non-finite term is caught by sum_with_policy.
+    """
+    start, count = 0, BLOCK
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):
+            items = block(start, count)
+        yield from items
+        start, count = count, 2 * count
+
+
+def _coefficients(op: np.ufunc, step: Callable[[np.ndarray], np.ndarray],
+                  streams: Sequence[tuple[complex, tuple]] = ()) -> Iterator:
+    """R_d C_d for d = 0, 1, ...: R is the running op of step(d) (an outer
+    Pochhammer ratio, or a pFq term), C_d the degree-d coefficient of the
+    product of the (x, params) streams, or 1 without streams."""
+    def block(start, count):
+        ratio = _running(op, step(np.arange(count - 1.0)))
+        if streams:
+            ratio = ratio * _product([_poch_power(x, params, count) for x, params in streams],
+                                     count)
+        return ratio[start:].tolist()
+
+    return _in_blocks(block)
+
+
 class _Phase:
     """z^k split as exp(k ln|z|) times a unit phase updated multiplicatively."""
 
@@ -217,8 +281,7 @@ class _Phase:
             self.current *= self.unit
 
 
-def _wright_terms(spec: WrightSpec, z: complex, normalized: bool,
-                  max_terms: int) -> Iterator[complex]:
+def _wright_terms(spec: WrightSpec, z: complex, normalized: bool) -> Iterator[complex]:
     upper = spec.upper
     lower = spec.lower
     shift = 0.0
@@ -239,7 +302,7 @@ def _wright_terms(spec: WrightSpec, z: complex, normalized: bool,
             shift_sign *= sg
     phase = _Phase(complex(z))
     lgam = log_gamma_signed
-    for k in range(max_terms):
+    for k in itertools.count():
         log_mag, _ = lgam(k + 1.0)
         log_mag = -log_mag
         sign = shift_sign
@@ -264,7 +327,7 @@ def wright_psi(spec: WrightSpec, z: complex, policy: SeriesPolicy | None = None)
     term index.
     """
     policy = policy or SeriesPolicy()
-    return sum_with_policy(_wright_terms(spec, z, False, policy.max_terms), policy)
+    return sum_with_policy(_wright_terms(spec, z, False), policy)
 
 
 def wright_psi_normalized(spec: WrightSpec, z: complex,
@@ -275,59 +338,12 @@ def wright_psi_normalized(spec: WrightSpec, z: complex,
     value at z = 0 is 1 without ever forming two large numbers.
     """
     policy = policy or SeriesPolicy()
-    return sum_with_policy(_wright_terms(spec, z, True, policy.max_terms), policy)
-
-
-def _log_poch_tracker(params: Sequence[float]) -> list:
-    """Per-parameter state for building Pochhammer products in log space."""
-    state = []
-    for a in params:
-        if _is_nonpositive_integer(a):
-            state.append((a, None, None))  # truncating parameter
-        else:
-            lg, sg = log_gamma_signed(a)
-            state.append((a, lg, sg))
-    return state
-
-
-def _pfq_terms(num, den, z: complex, max_terms: int) -> Iterator[complex]:
-    num_state = _log_poch_tracker(num)
-    den_state = _log_poch_tracker(den)
-    phase = _Phase(complex(z))
-    lgam = log_gamma_signed
-    # Running exact products for truncating (nonpositive-integer) numerators.
-    trunc = {i: 1.0 for i, (_, lg, _) in enumerate(num_state) if lg is None}
-    for k in range(max_terms):
-        log_mag, _ = lgam(k + 1.0)
-        log_mag = -log_mag
-        sign = 1
-        zero = False
-        for i, (a, lg, sg) in enumerate(num_state):
-            if lg is None:
-                p = trunc[i]
-                if p == 0.0:
-                    zero = True
-                    continue
-                if p < 0.0:
-                    sign = -sign
-                log_mag += math.log(abs(p))
-            else:
-                lk, sk = lgam(a + k)
-                log_mag += lk - lg
-                sign *= sk * sg
-        for b, lg, sg in den_state:
-            lk, sk = lgam(b + k)
-            log_mag -= lk - lg
-            sign *= sk * sg
-        yield 0.0 + 0.0j if zero else phase.term(k, log_mag, sign)
-        phase.advance()
-        for i in trunc:
-            trunc[i] *= num_state[i][0] + k
+    return sum_with_policy(_wright_terms(spec, z, True), policy)
 
 
 def hyper_pfq(num: Sequence[float], den: Sequence[float], z: complex,
               policy: SeriesPolicy | None = None) -> SeriesResult:
-    """Generalized hypergeometric sum over Pochhammer ratios.
+    """Generalized hypergeometric sum, each term the last times its one-step ratio.
 
     Denominator parameters at nonpositive integers are rejected eagerly;
     nonpositive-integer numerator parameters terminate the series exactly.
@@ -336,7 +352,16 @@ def hyper_pfq(num: Sequence[float], den: Sequence[float], z: complex,
     for b in den:
         if _is_nonpositive_integer(b):
             raise PoleError(f"denominator parameter {b!r} is a nonpositive integer")
-    return sum_with_policy(_pfq_terms(tuple(num), tuple(den), z, policy.max_terms), policy)
+
+    def step(k):  # t_{k+1} / t_k, one combined ratio so no partial product can overflow
+        r = z / (k + 1.0)
+        for a in num:
+            r = r * (a + k)
+        for b in den:
+            r = r / (b + k)
+        return r
+
+    return sum_with_policy(_coefficients(np.multiply, step), policy)
 
 
 def mittag_leffler(lam: float, z: complex, policy: SeriesPolicy | None = None) -> SeriesResult:

@@ -23,8 +23,8 @@ from wrightlab import (
 )
 from wrightlab.cli import main
 from wrightlab.identities import _binomial_product, _InnerTable, _lauricella_sum
-from wrightlab.multivar import _poch_power, _product
 from wrightlab.scalars import log_pochhammer_signed, pochhammer
+from wrightlab.series import _poch_power, _product
 
 
 def rel(a, b):

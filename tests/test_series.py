@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,13 +15,14 @@ from wrightlab import (
     PoleError,
     SeriesPolicy,
     WrightSpec,
+    appell_f1,
     hyper_pfq,
     mittag_leffler,
     wright_psi,
     wright_psi_normalized,
 )
 from wrightlab.scalars import log_gamma_signed, pochhammer
-from wrightlab.series import _Phase, sum_with_policy
+from wrightlab.series import CANCELLATION_LIMIT, _Phase, sum_with_policy
 
 
 def rel(a, b):
@@ -137,6 +139,82 @@ class TestPfq:
         policy = SeriesPolicy(max_terms=5)
         with pytest.raises(MaxTermsError):
             hyper_pfq([1.0], [], 0.9, policy)
+
+
+    def test_long_sum_runs_past_the_double_range_of_its_pochhammers(self):
+        # 2F1(1/2, 1; 3/2; z) = atanh(sqrt z) / sqrt z.  (3/2)_k alone overflows
+        # near k = 170, far short of the 2,264 terms the default policy takes;
+        # the tighter policy keeps the truncated tail, about 100 times the
+        # last term at z = 0.99, below 1e-13.
+        z = 0.99
+        assert hyper_pfq([0.5, 1.0], [1.5], z).terms_used == 2264
+        result = hyper_pfq([0.5, 1.0], [1.5], z, SeriesPolicy(rel_tol=1e-16))
+        assert rel(result.value, math.atanh(math.sqrt(z)) / math.sqrt(z)) <= 1e-13
+
+
+def pfq_points():
+    """Seeded (num, den, z): p = q + 1 with |z| up to 0.97, entire series with
+    p <= q and |z| up to 10, and truncating numerators, half with complex z."""
+    rng = random.Random(15)
+    points = []
+    for i in range(90):
+        q = rng.randint(0, 3)
+        kind = i % 3
+        if kind == 0:
+            p, radius = q + 1, rng.uniform(0.5, 0.97)
+        elif kind == 1:
+            p, radius = rng.randint(0, q), rng.uniform(0.5, 10.0)
+        else:
+            p, radius = rng.randint(1, q + 2), rng.uniform(0.5, 5.0)
+        num = [rng.uniform(0.1, 3.0) for _ in range(p)]
+        den = [rng.uniform(0.1, 3.0) for _ in range(q)]
+        if kind == 2:
+            num[0] = float(-rng.randint(0, 10))
+        z = cmath.rect(radius, rng.uniform(-math.pi, math.pi)) if i % 2 else radius
+        points.append((num, den, z))
+    return points
+
+
+def test_pfq_against_mpmath():
+    # Each value lies within 8 eps sum |t_k| (the rounding of the sum) plus
+    # its truncated tail, bounded by tail_estimate / (1 - |z|) where the
+    # terms decay like |z|^k; only a sum whose terms cancel past the limit
+    # may raise instead.
+    mp = pytest.importorskip("mpmath")
+    eps = sys.float_info.epsilon
+    raised = 0
+    with mp.workdps(30):
+        for num, den, z in pfq_points():
+            ref = complex(mp.hyper(num, den, z))
+            term = abs_sum = mp.mpf(1)
+            k = 0
+            while term > abs_sum * 1e-20:
+                term *= (abs(z) / (k + 1) * mp.fprod(abs(a + k) for a in num)
+                         / mp.fprod(abs(b + k) for b in den))
+                abs_sum += term
+                k += 1
+            try:
+                result = hyper_pfq(num, den, z)
+            except CancellationError:
+                assert abs_sum > CANCELLATION_LIMIT / 2 * abs(ref)
+                raised += 1
+                continue
+            tail = result.tail_estimate
+            if len(num) == len(den) + 1:
+                tail /= 1.0 - abs(z)
+            assert abs(result.value - ref) <= 8 * eps * float(abs_sum) + tail, (num, den, z)
+    assert raised <= 3
+
+
+def test_the_term_budget_is_drawn_at_most_max_terms_times():
+    def terms():
+        yield from [1.0] * 10
+        raise AssertionError("term 11 drawn")
+
+    with pytest.raises(MaxTermsError, match="after 10 terms"):
+        sum_with_policy(terms(), SeriesPolicy(max_terms=10))
+    with pytest.raises(MaxTermsError, match="after 10 terms"):
+        appell_f1(0.5, 0.5, 0.5, 1.0, 0.999, 0.999, SeriesPolicy(max_terms=10))
 
 
 class TestMittagLeffler:

@@ -21,7 +21,7 @@ from wrightlab import (
     generating_integral_closed_form,
 )
 from wrightlab.identities import _binomial_product, _InnerTable, _lauricella_sum
-from wrightlab.multivar import BLOCK, _coefficients, _in_blocks, _poch_power, _product, _running
+from wrightlab.series import BLOCK, _coefficients, _in_blocks, _poch_power, _product, _running
 from wrightlab.series import sum_with_policy
 
 

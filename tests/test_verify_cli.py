@@ -8,6 +8,8 @@ import warnings
 
 import pytest
 
+import wrightlab.cli
+import wrightlab.verify
 from wrightlab import BinomialGen, DomainError, evaluate_generating_integral_direct
 from wrightlab.cli import main
 from wrightlab.verify import (
@@ -365,6 +367,38 @@ class TestCli:
         assert run.returncode == 1
         assert "Traceback" not in run.stderr and len(run.stderr.splitlines()) == 1
         assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "r.json"]
+
+    def test_unwritable_out_is_refused_before_any_point(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(wrightlab.cli, "run_verification", lambda *args: calls.append(args))
+        monkeypatch.setattr(wrightlab.verify, "evaluate_point", lambda *args: calls.append(args))
+        out = tmp_path / "missing" / "r.json"
+        assert main(["verify", "--case", "ex4.1", "--out", str(out)]) == 1
+        assert calls == [] and "output error" in capsys.readouterr().err
+
+    def test_out_probe_truncates_nothing(self, tmp_path, monkeypatch):
+        def interrupted(cfg):
+            raise RuntimeError("interrupted")
+
+        monkeypatch.setattr(wrightlab.cli, "run_verification", interrupted)
+        out = tmp_path / "r.json"
+        out.write_text("earlier report")
+        with pytest.raises(RuntimeError, match="interrupted"):
+            main(["verify", "--case", "ex4.1", "--out", str(out)])
+        assert out.read_text() == "earlier report"
+
+    def test_closed_stdout_exits_1_without_traceback(self):
+        read, write = os.pipe()
+        os.close(read)
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "wrightlab", "eval", "mittag_leffler", "lam=1", "z=1"],
+                stdout=write, stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": str(src)})
+        finally:
+            os.close(write)
+        assert (run.returncode, run.stderr) == (1, "")
 
     def test_eval_node_overflow_exits_3_without_warnings(self, capsys):
         with warnings.catch_warnings():
