@@ -16,15 +16,17 @@ checks, its family's check and the lam = 0 gate.  Every closed form
 validates by building its spec, and euler_case binds a spec to both
 routes, so both refuse the same points.
 
-T1, T3 and the n-variable form are one outer sum (_lauricella_sum): outer
-coefficients, built as arrays a block of degrees at a time by the helpers
-of series, times one inner value per total degree.  The inner engine is
+T1, T3 and the n-variable form are one outer sum (_lauricella_sum): a
+block of degrees at a time, the outer coefficients as arrays (the helpers
+of series) times one inner value per total degree.  The inner engine is
 a 3-by-2 Wright series with weight pattern (1,1,1; 2, lam), tabulated for
-blocks of degrees at once in log space (_InnerTable); rows the table
-cannot settle, and T4's single value, go through the scalar engine.  The
-other forms integrate a series term by term: T2 sums Appell F3 values over
-the powers of p of E_lam[p xi], and the generating integrals sum inner
-rows or, with product factors, _lauricella_sum values over G's terms.
+a block of degrees at once in log space as a (terms, rows) array, to 24
+terms and then to 48 for the rows that have not stopped (_InnerTable);
+rows the table cannot settle, and T4's single value, go through the
+scalar engine.  The other forms integrate a series term by term: T2 sums
+Appell F3 values over the powers of p of E_lam[p xi], and the generating
+integrals sum inner rows or, with product factors, _lauricella_sum values
+over G's terms.
 
 On a general interval the linear-weight family (T3) picks up the factors
 (b-a)^(alpha+beta-1) and (a*u+v)^gamma, and the series argument becomes
@@ -33,25 +35,28 @@ p*(b-a)^2; all three degenerate to no-ops on (0, 1).
 
 from __future__ import annotations
 
-import copy
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DomainError
 from .multivar import appell_f3, gegenbauer
 from .quadrature import QuadraturePolicy, QuadratureResult, evaluate_integral_direct
-from .scalars import _is_nonpositive_integer, beta_fn, pochhammer
+from .scalars import _is_nonpositive_integer, beta_fn
 from .series import (
-    BLOCK,
     CANCELLATION_LIMIT,
     SeriesPolicy,
     SeriesResult,
     WrightSpec,
     _coefficients,
+    _in_blocks,
+    _poch_power,
+    _product,
+    _running,
     hyper_pfq,
     sum_with_policy,
     wright_psi_normalized,
@@ -303,8 +308,9 @@ def generating_spec(gen, r, s, delta, omega, lam, p, t, factors=()) -> EulerInte
 # ---------------------------------------------------------------------------
 
 
-# Table rows that do not stop within this many terms go to the scalar
-# engine; it stays below index 50, where the engine's divergence guard starts.
+# Terms per row in the first and the second tabulation; _ROW_TERMS stays
+# below index 50, where the scalar engine's divergence guard starts.
+_FIRST_TERMS = 24
 _ROW_TERMS = 48
 
 
@@ -312,13 +318,15 @@ class _InnerTable:
     """Inner Wright values of rows (a, b, c) that share lam and p.
 
     A row is the normalized (1,1,1; 2,lam) series sum_k (a)_k (b)_k p^k /
-    ((c)_{2k} Gamma(1 + lam k)).  Blocks of rows are tabulated in log
-    space: the Pochhammer ratio is a cumulative sum of logs along k, and
-    the column term k ln|p| - ln Gamma(1 + lam k) is computed once per
-    table.  Each row stops by the rule of sum_with_policy.  A row with a
-    nonpositive parameter, a non-finite partial sum, no stop within
-    _ROW_TERMS terms or a cancelled value is evaluated by the scalar engine
-    when the caller reaches it, so that engine raises every pole,
+    ((c)_{2k} Gamma(1 + lam k)).  A block of rows is tabulated in log space
+    as a (terms, rows) array, so every cumulative sum along k runs down
+    contiguous memory: the Pochhammer ratio is a cumulative sum of logs,
+    and the column term k ln|p| - ln Gamma(1 + lam k) is computed once per
+    table.  Each row stops by the rule of sum_with_policy, within
+    _FIRST_TERMS terms or, tabulated once more, within _ROW_TERMS.  A row
+    with a nonpositive parameter, a non-finite partial sum, no stop or a
+    cancelled value is not settled: values() evaluates it by the scalar
+    engine when the caller reaches it, so that engine raises every pole,
     divergence, term and cancellation error.
     """
 
@@ -341,48 +349,60 @@ class _InnerTable:
         else:
             self._column[1:] = -math.inf
 
-    def rows(self, a, b, c) -> Iterator[SeriesResult]:
-        """Yield the value of each row in order; a, b, c broadcast to one length."""
+    def rows(self, a, b, c, count: int = _FIRST_TERMS) -> tuple:
+        """Value, terms used, tail estimate and settled flag of each row, as
+        arrays (the first three hold where the row is settled), with a, b, c
+        broadcast to one length.  Rows not settled within count terms are
+        tabulated again to _ROW_TERMS."""
         params = np.array(np.broadcast_arrays(a, b, c), dtype=float)
-        good = (params > 0.0).all(axis=0)
-        sa, sb, sc = np.where(good, params, 1.0)[:, :, None]
-        j = self._j
-        log_term = np.zeros((len(good), len(j) + 1))
+        positive = (params > 0.0).all(axis=0)
+        sa, sb, sc = np.where(positive, params, 1.0)[:, None, :]
+        j = self._j[:count - 1, None]
+        log_term = np.zeros((len(j) + 1, len(positive)))
         policy = self.policy
         need = policy.consecutive_small
         # Overflow and invalid values end as a non-finite partial sum, which
-        # sends the row to the scalar engine.
+        # leaves the row unsettled.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # ln((a)_k (b)_k / (c)_{2k}) as a cumulative sum of one log per step
             np.cumsum(np.log((sa + j) * (sb + j) / ((sc + 2.0 * j) * (sc + (2.0 * j + 1.0)))),
-                      axis=1, out=log_term[:, 1:])
-            log_term += self._column
-            term = np.exp(log_term) * self._phase
-            partial = np.cumsum(term, axis=1)
+                      axis=0, out=log_term[1:])
+            log_term += self._column[:len(log_term), None]
+            term = np.exp(log_term) * self._phase[:len(log_term), None]
+            partial = np.cumsum(term, axis=0)
             mag = np.abs(term)
-            small = np.cumsum(mag <= policy.rel_tol * np.abs(partial) + policy.abs_tol, axis=1)
-            abs_sum = np.cumsum(mag, axis=1)
-        small[:, need:] -= small[:, :-need]  # small terms among the last `need`
-        stop = (small >= need).argmax(axis=1)
-        index = np.arange(len(good))
-        value = partial[index, stop].astype(complex)
+            small = np.cumsum(mag <= policy.rel_tol * np.abs(partial) + policy.abs_tol, axis=0)
+            abs_sum = np.cumsum(mag, axis=0)
+        small[need:] -= small[:-need]  # small terms among the last `need`
+        stop = (small >= need).argmax(axis=0)
+        index = np.arange(len(positive))
+        value = partial[stop, index].astype(complex)
         # A non-finite term anywhere up to the stop leaves the partial sum non-finite.
-        good &= (small[index, stop] >= need) & np.isfinite(value)
-        good &= abs_sum[index, stop] <= CANCELLATION_LIMIT * np.abs(value)
-        tails = (need * mag[index, stop]).tolist()
-        for i, (v, k) in enumerate(zip(value.tolist(), stop.tolist())):
-            if good[i]:
-                yield SeriesResult(v, k + 1, tails[i])
-            else:
-                a, b, c = params[:, i]
-                spec = WrightSpec(((a, 1.0), (b, 1.0), (1.0, 1.0)), ((c, 2.0), (1.0, self.lam)))
-                yield wright_psi_normalized(spec, self.p, policy)
+        ok = positive & (small[stop, index] >= need) & np.isfinite(value)
+        ok &= abs_sum[stop, index] <= CANCELLATION_LIMIT * np.abs(value)
+        table = value, stop + 1, need * mag[stop, index], ok
+        retry = positive & ~ok
+        if count < _ROW_TERMS and retry.any():
+            for whole, part in zip(table, self.rows(*params[:, retry], _ROW_TERMS)):
+                whole[retry] = part
+        return table
 
-    def ladder(self, start: tuple, step: tuple) -> Iterator[SeriesResult]:
-        """Rows start + d * step for d = 0, 1, ..., tabulated a block of d at a time."""
-        for first in itertools.count(0, BLOCK):
-            d = np.arange(first, first + BLOCK, dtype=float)
-            yield from self.rows(*(x + dx * d for x, dx in zip(start, step)))
+    def values(self, a, b, c, weight: np.ndarray | None = None) -> Iterable[complex]:
+        """weight (if given) times the value of each row: a list if every row is
+        settled, else an iterator that runs the scalar engine on reaching one that is not."""
+        value, _, _, ok = self.rows(a, b, c)
+        terms = (value if weight is None else weight * value).tolist()
+        if ok.all():
+            return terms
+        rows = zip(*np.broadcast_arrays(a, b, c),
+                   itertools.repeat(None) if weight is None else weight.tolist())
+        return (term if settled else self._scalar(*row)
+                for term, settled, row in zip(terms, ok.tolist(), rows))
+
+    def _scalar(self, a, b, c, weight) -> complex:
+        spec = WrightSpec(((a, 1.0), (b, 1.0), (1.0, 1.0)), ((c, 2.0), (1.0, self.lam)))
+        value = wright_psi_normalized(spec, self.p, self.policy).value
+        return value if weight is None else weight * value
 
 
 # ---------------------------------------------------------------------------
@@ -390,25 +410,31 @@ class _InnerTable:
 # ---------------------------------------------------------------------------
 
 
-def _binomial_product(alphas: Sequence[float], xs: Sequence[float]) -> Iterator:
-    """The degree coefficients of prod_i (1 - x_i t)^(-a_i), a block at a time."""
-    return _coefficients(np.multiply, np.ones_like, [(xi, (ai,)) for ai, xi in zip(alphas, xs)])
+def _binomial_product(alphas: Sequence[float], xs: Sequence[float]) -> Callable:
+    """count -> the first count degree coefficients of prod_i (1 - x_i t)^(-a_i), cached."""
+    streams = [(xi, (ai,)) for ai, xi in zip(alphas, xs)]
+    return functools.cache(lambda count: _product(
+        [_poch_power(x, params, count) for x, params in streams], count))
 
 
-def _lauricella_sum(alpha: float, beta: float, product: Iterator,
+def _lauricella_sum(alpha: float, beta: float, product: Callable,
                     table: _InnerTable) -> SeriesResult:
     """The n-variable closed form, summed by total degree d.
 
     The inner Wright factor depends only on d, so each degree is
     (alpha)_d / (alpha+beta)_d times the degree-d coefficient of the
-    binomial product (the iterator product) times one inner value, taken
-    from a ladder of the table's rows tabulated a block of degrees at a
-    time.  The sum stops by the table's policy.
+    binomial product (product(count) holds the first count) times the
+    inner row (alpha + d, beta, alpha + beta + d).  A block of degrees is
+    built at a time: its coefficients as arrays, times its rows tabulated
+    in one table call.  The sum stops by the table's policy.
     """
-    ratio = _coefficients(np.multiply, lambda d: (alpha + d) / (alpha + beta + d))
-    inner = table.ladder((alpha, beta, alpha + beta), (1.0, 0.0, 1.0))
-    return sum_with_policy((r * c * row.value for r, c, row in zip(ratio, product, inner)),
-                           table.policy)
+    def block(start, count):
+        j = np.arange(count - 1.0)
+        ratio = _running(np.multiply, (alpha + j) / (alpha + beta + j))
+        d = np.arange(start, count, dtype=float)
+        return table.values(alpha + d, beta, alpha + beta + d, (ratio * product(count))[start:])
+
+    return sum_with_policy(_in_blocks(block), table.policy)
 
 
 def closed_form_theorem1(alpha: float, beta: float, alpha1: float, alpha2: float,
@@ -500,7 +526,18 @@ def closed_form_lauricella(alpha: float, beta: float, alphas: Sequence[float],
 # ---------------------------------------------------------------------------
 
 
-class BinomialGen:
+class _Generator:
+    """Shared by the generators: the closed form sums coefficient(n) t^n."""
+
+    def scaled_coefficients(self, t: complex) -> Iterator[complex]:
+        """coefficient(n) t^n for n = 0, 1, ..., with t^n a running product."""
+        tn = 1.0 + 0.0j
+        for n in itertools.count():
+            yield self.coefficient(n) * tn
+            tn *= t
+
+
+class BinomialGen(_Generator):
     """Generator (1 - x t)^(-a): coefficients (a)_n x^n / n!."""
 
     def __init__(self, a: float, x: float = 1.0):
@@ -523,7 +560,7 @@ class BinomialGen:
             raise DomainError("binomial generator needs |x t| < 1")
 
 
-class GegenbauerGen:
+class GegenbauerGen(_Generator):
     """Generator (1 - 2 x t + t^2)^(-a): coefficients are ultraspherical values."""
 
     def __init__(self, a: float, x: float = 1.0):
@@ -543,14 +580,16 @@ class GegenbauerGen:
             raise DomainError("gegenbauer generator needs |t| < 1")
 
 
-class HumbertGen:
+class HumbertGen(_Generator):
     """Confluent two-variable generator: coefficients (a)_n/(b)_n 1F1(a; b+n; x)/n!.
 
     The generator is Humbert Phi2(a, a; b; x, tau), and its tau^n
-    coefficient is coefficient(n), because (b)_n (b+n)_m = (b)_{m+n}.  The
-    node form is therefore the power series sum_n coefficient(n) tau^n by
-    Horner's rule, with as many terms as the shared series policy takes
-    for the majorant sum_n |coefficient(n)| max|tau|^n.
+    coefficient is coefficient(n), because (b)_n (b+n)_m = (b)_{m+n}.
+    coefficient(n) t^n is the running product of (a+n-1) t / ((b+n-1) n)
+    times the 1F1 value, so it overflows only where its value does.  The
+    node form sums c_n R^n (tau/R)^n by Horner's rule, with R = max|tau|
+    and c_n R^n from the same running product, in as many terms as the
+    shared series policy takes for the majorant sum_n |c_n| R^n.
     """
 
     def __init__(self, a: float, b: float, x: float):
@@ -559,33 +598,35 @@ class HumbertGen:
         self.a = a
         self.b = b
         self.x = x
-        self._coeffs: list[complex] = []
-        self._poch_b = 1.0  # (b)_k of the last coefficient built
+        self._f11: list[complex] = []  # 1F1(a; b+n; x)
+
+    def scaled_coefficients(self, t: complex) -> Iterator[complex]:
+        f11 = self._f11
+        c = 1.0
+        for n in itertools.count():
+            if len(f11) == n:
+                f11.append(hyper_pfq([self.a], [self.b + n], self.x).value)
+            yield c * f11[n]
+            c = c * (self.a + n) * t / ((self.b + n) * (n + 1.0))
 
     def coefficient(self, n: int) -> complex:
-        c = self._coeffs
-        while len(c) <= n:
-            k = len(c)
-            if k:
-                self._poch_b *= self.b + k - 1.0
-            f11 = hyper_pfq([self.a], [self.b + k], self.x).value
-            c.append(pochhammer(self.a, k) / self._poch_b * f11 / math.gamma(k + 1.0))
-        return c[n]
+        return next(itertools.islice(self.scaled_coefficients(1.0), n, None))
 
     def node_values(self, tau):
         radius = float(np.max(np.abs(tau))) if getattr(tau, "size", 1) else 0.0
-        majorant = (abs(self.coefficient(n)) * radius ** n for n in itertools.count())
-        count = sum_with_policy(majorant, SeriesPolicy()).terms_used
+        count = sum_with_policy(map(abs, self.scaled_coefficients(radius)),
+                                SeriesPolicy()).terms_used
+        u = tau / radius if radius else tau
         out = np.zeros_like(tau, dtype=complex)
-        for n in reversed(range(count)):
-            out = out * tau + self.coefficient(n)
+        for c in reversed(list(itertools.islice(self.scaled_coefficients(radius), count))):
+            out = out * u + c
         return out
 
     def check_argument(self, t: complex):
         pass  # entire in t
 
 
-class CustomGen:
+class CustomGen(_Generator):
     """Arbitrary coefficient stream n -> c_n g_n(x); no closed node form."""
 
     def __init__(self, coefficient_fn: Callable[[int], complex]):
@@ -615,14 +656,15 @@ def generating_integral_closed_form(gen, r: float, s: float, delta: float, omega
                                     policy: SeriesPolicy | None = None) -> SeriesResult:
     """Series value of the generating-function integral (raw, without 1/B).
 
-    G is expanded term by term: term n is coefficient(n) t^n times
-    B(a_n, b_n) times the normalized integral at a_n = r + delta n,
-    b_n = s - r + omega n.  Without product factors that integral is the
-    inner Wright row (a_n, b_n, a_n + b_n), from one ladder; with factors
-    (a_i, x_i) it is the n-variable closed form at (a_n, b_n), whose
-    binomial product is built once and shared by every n.  terms_used and
-    tail_estimate cover the sum over n only; each inner sum stops by the
-    policy itself, and its own truncation error is left out.
+    G is expanded term by term: term n is coefficient(n) t^n (the
+    generator's scaled_coefficients) times B(a_n, b_n) times the normalized
+    integral at a_n = r + delta n, b_n = s - r + omega n.  Without product
+    factors that integral is the inner Wright row (a_n, b_n, a_n + b_n),
+    tabulated a block of n at a time; with factors (a_i, x_i) it is the
+    n-variable closed form at (a_n, b_n), whose binomial product is built
+    once and shared by every n.  terms_used and tail_estimate cover the sum
+    over n only; each inner sum stops by the policy itself, and its own
+    truncation error is left out.
     """
     policy = policy or SeriesPolicy()
     t = complex(t)
@@ -631,20 +673,16 @@ def generating_integral_closed_form(gen, r: float, s: float, delta: float, omega
     generating_spec(gen, r, s, delta, omega, lam, p, t, factors).validate()
     table = _InnerTable(lam, p, policy)
     if factors:
-        # each copy of the tee reads the same coefficients from degree 0
-        product, = itertools.tee(_binomial_product(*zip(*factors)), 1)
-        inner = (_lauricella_sum(r + delta * n, s - r + omega * n, copy.copy(product), table)
+        product = _binomial_product(*zip(*factors))
+        inner = (_lauricella_sum(r + delta * n, s - r + omega * n, product, table).value
                  for n in itertools.count())
     else:
-        inner = table.ladder((r, s - r, s), (delta, omega, delta + omega))
-
-    def terms():
-        tn = 1.0 + 0.0j
-        for n, row in enumerate(inner):
-            yield gen.coefficient(n) * tn * beta_fn(r + delta * n, s - r + omega * n) * row.value
-            tn *= t
-
-    return sum_with_policy(terms(), policy)
+        inner = _in_blocks(lambda start, count: table.values(
+            *(x + dx * np.arange(start, count, dtype=float)
+              for x, dx in ((r, delta), (s - r, omega), (s, delta + omega)))))
+    terms = (w * beta_fn(r + delta * n, s - r + omega * n) * value
+             for n, (value, w) in enumerate(zip(inner, gen.scaled_coefficients(t))))
+    return sum_with_policy(terms, policy)
 
 
 def reduce_lambda1(spec: WrightSpec, p: complex,

@@ -192,8 +192,7 @@ def sum_with_policy(terms: Iterator[complex], policy: SeriesPolicy) -> SeriesRes
     raise MaxTermsError(f"stopping rule unmet after {k + 1} terms")
 
 
-# Coefficients built per block at first, doubled per block after; also the
-# number of inner rows identities._InnerTable tabulates along a ladder.
+# Coefficients built per block at first, doubled per block after.
 BLOCK = 48
 
 

@@ -18,8 +18,10 @@ from wrightlab import (
     gegenbauer,
     generating_integral_closed_form,
     humbert_phi2,
+    hyper_pfq,
     wright_psi,
 )
+from wrightlab.cli import main
 
 TIGHT = QuadraturePolicy(target_abs_tol=1e-13)
 
@@ -83,6 +85,30 @@ def test_humbert_node_form_is_phi2(tau):
 
 def test_humbert_node_form_of_no_nodes():
     assert HumbertGen(0.8, 1.7, 0.6).node_values(np.array([], dtype=complex)).size == 0
+
+
+@pytest.mark.parametrize("tau", [100.0, 400.0])
+def test_humbert_node_form_at_large_tau(tau):
+    # Phi2(a, a; 2a; x, tau) = e^x 1F1(a; 2a; tau - x), an exact reduction;
+    # humbert_phi2 itself stops there with a DivergenceError.  A bare power
+    # tau^n of the node form overflowed at n = 119 for tau = 400.
+    gen = HumbertGen(0.8, 1.6, 0.6)
+    got = gen.node_values(np.array([tau, 0.5 * tau, 0.0], dtype=complex))
+    for value, arg in zip(got, (tau, 0.5 * tau, 0.0)):
+        exact = math.exp(0.6) * hyper_pfq([0.8], [1.6], arg - 0.6).value
+        assert rel(value, exact) <= 1e-11, arg
+
+
+def test_humbert_generating_integral_at_large_t(capsys):
+    # t^n overflowed on its own at n = 119 (exit 3); the running product of
+    # the coefficient folds t in, so the term overflows only where its value does
+    args = ["gen=humbert", "a=0.8", "b=1.7", "x=0.6", "r=1.1", "s=2.3", "delta=1", "omega=1",
+            "lam=1", "p=0.5", "t=400"]
+    assert main(["eval", "generating", *args]) == 0
+    value = float(capsys.readouterr().out.split()[1].removeprefix("value="))
+    direct = evaluate_generating_integral_direct(HumbertGen(0.8, 1.7, 0.6), 1.1, 2.3, 1.0, 1.0,
+                                                 1.0, 0.5, 400.0)
+    assert rel(value, direct.value) <= 1e-8
 
 
 def test_gegenbauer_coefficients_are_the_polynomials():

@@ -4,6 +4,7 @@ against a 30-digit reference."""
 import math
 import random
 
+import numpy as np
 import pytest
 
 import wrightlab.identities
@@ -21,6 +22,7 @@ from wrightlab import (
 )
 from wrightlab.identities import _binomial_product, _InnerTable, _lauricella_sum
 from wrightlab.scalars import beta_fn, log_gamma_signed
+from wrightlab.series import _in_blocks
 
 LAMBDAS = (0.0, 0.5, 1.0, 2.3)
 
@@ -50,6 +52,7 @@ def draw_p(rng, kind, lam):
 def test_rows_match_scalar_engine(lam, kind, raw):
     # Rows shaped as the closed forms build them: c = a + b.  The raw series
     # is B(a, b) times the normalized row, as the generating form takes it.
+    # A row the table does not settle has its value from the scalar engine.
     rng = random.Random(f"{lam}/{kind}/{raw}")
     policy = SeriesPolicy()
     for _ in range(6):
@@ -57,41 +60,50 @@ def test_rows_match_scalar_engine(lam, kind, raw):
         a = [rng.uniform(0.3, 20.0) for _ in range(10)]
         b = [rng.uniform(0.3, 3.0) for _ in range(10)]
         c = [x + y for x, y in zip(a, b)]
-        rows = list(_InnerTable(lam, p, policy).rows(a, b, c))
-        assert len(rows) == len(a)
-        for row, x, y, z in zip(rows, a, b, c):
+        table = _InnerTable(lam, p, policy)
+        value, terms, tail, ok = table.rows(a, b, c)
+        values = list(table.values(a, b, c))
+        assert len(values) == len(value) == len(a)
+        for i, (x, y, z) in enumerate(zip(a, b, c)):
             scale = beta_fn(x, y) if raw else 1.0
             ref = scalar_row(x, y, z, lam, p, raw)
-            assert rel(scale * row.value, ref.value) <= 1e-14
-            assert row.terms_used == ref.terms_used
-            assert scale * row.tail_estimate == pytest.approx(ref.tail_estimate, rel=1e-12,
-                                                              abs=1e-300)
+            assert rel(scale * values[i], ref.value) <= 1e-14
+            if ok[i]:
+                assert values[i] == value[i]
+                assert terms[i] == ref.terms_used
+                assert scale * tail[i] == pytest.approx(ref.tail_estimate, rel=1e-12,
+                                                        abs=1e-300)
 
 
 @pytest.mark.parametrize("p", [0.8, -0.8, 0.5 + 0.5j, 0.0])
 def test_ladder_crosses_block_boundaries(p):
-    policy = SeriesPolicy()
-    ladder = _InnerTable(1.0, p, policy).ladder((1.2, 0.8, 2.0), (1.0, 0.0, 1.0))
-    for d in range(110):
-        row = next(ladder)
-        ref = scalar_row(1.2 + d, 0.8, 2.0 + d, 1.0, p)
-        assert rel(row.value, ref.value) <= 1e-14
-        assert row.terms_used == ref.terms_used
+    # rows d = 0, 1, ... drawn a block of d at a time, as the closed forms draw them
+    table = _InnerTable(1.0, p, SeriesPolicy())
+    d = np.arange(110.0)
+    _, terms, _, ok = table.rows(1.2 + d, 0.8, 2.0 + d)
+    ladder = _in_blocks(lambda start, count: table.values(1.2 + d[start:count], 0.8,
+                                                          2.0 + d[start:count]))
+    assert ok.all()
+    for k in range(110):
+        ref = scalar_row(1.2 + k, 0.8, 2.0 + k, 1.0, p)
+        assert rel(next(ladder), ref.value) <= 1e-14
+        assert terms[k] == ref.terms_used
 
 
 def test_rows_with_nonpositive_parameters_use_the_scalar_engine():
     # The pole row raises only when reached, not when the block is tabulated.
-    policy = SeriesPolicy()
-    rows = _InnerTable(0.5, 0.7, policy).rows([1.2, -0.5, -1.0], [0.8, 0.8, 0.8],
-                                              [2.0, 0.3, 2.0])
-    assert rel(next(rows).value, scalar_row(1.2, 0.8, 2.0, 0.5, 0.7).value) <= 1e-14
-    assert next(rows) == scalar_row(-0.5, 0.8, 0.3, 0.5, 0.7)  # the scalar engine's own result
+    table = _InnerTable(0.5, 0.7, SeriesPolicy())
+    params = [1.2, -0.5, -1.0], [0.8, 0.8, 0.8], [2.0, 0.3, 2.0]
+    assert table.rows(*params)[3].tolist() == [True, False, False]
+    rows = iter(table.values(*params))
+    assert rel(next(rows), scalar_row(1.2, 0.8, 2.0, 0.5, 0.7).value) <= 1e-14
+    assert next(rows) == scalar_row(-0.5, 0.8, 0.3, 0.5, 0.7).value  # the scalar engine's own
     with pytest.raises(PoleError):
         next(rows)
 
 
 def test_lambda_zero_outside_the_disc_still_diverges():
-    rows = _InnerTable(0.0, 4.5, SeriesPolicy()).rows([1.2], [0.8], [2.0])
+    rows = iter(_InnerTable(0.0, 4.5, SeriesPolicy()).values([1.2], [0.8], [2.0]))
     with pytest.raises(DivergenceError):
         next(rows)
     with pytest.raises(DivergenceError):
@@ -106,23 +118,24 @@ def test_row_lost_to_cancellation_raises_when_reached(monkeypatch):
     # At lam = 2, p = -800 the row (1, 1, 2) stops after 34 terms, but its
     # sum |t_k| is 1e6 times |S|; the row (1, 1, 30) above it is well conditioned.
     def first_two():
-        rows = _InnerTable(2.0, -800.0, SeriesPolicy()).rows([1.0, 1.0], [1.0, 1.0], [30.0, 2.0])
+        rows = iter(_InnerTable(2.0, -800.0, SeriesPolicy()).values([1.0, 1.0], [1.0, 1.0],
+                                                                    [30.0, 2.0]))
         return next(rows), rows
 
     good, rows = first_two()
-    assert rel(good.value, scalar_row(1.0, 1.0, 30.0, 2.0, -800.0).value) <= 1e-14
+    assert rel(good, scalar_row(1.0, 1.0, 30.0, 2.0, -800.0).value) <= 1e-14
     with pytest.raises(CancellationError):
         next(rows)
     # without the limit the table itself would have accepted the row
     monkeypatch.setattr(wrightlab.identities, "CANCELLATION_LIMIT", math.inf)
-    _, rows = first_two()
-    assert next(rows).terms_used < wrightlab.identities._ROW_TERMS
+    _, terms, _, ok = _InnerTable(2.0, -800.0, SeriesPolicy()).rows([1.0], [1.0], [2.0])
+    assert ok.all() and terms[0] < wrightlab.identities._ROW_TERMS
 
 
 def test_term_budget_still_caps_every_row(monkeypatch):
     monkeypatch.setenv("WRIGHTLAB_MAX_TERMS", "5")
     policy = SeriesPolicy.from_env()
-    rows = _InnerTable(1.0, 0.8, policy).rows([1.2], [0.8], [2.0])
+    rows = iter(_InnerTable(1.0, 0.8, policy).values([1.2], [0.8], [2.0]))
     with pytest.raises(MaxTermsError):
         next(rows)
     with pytest.raises(MaxTermsError):

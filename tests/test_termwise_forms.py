@@ -4,7 +4,8 @@ terms, against the sums they replaced.
 
 The references below are the former private sums: T2 and theorem 6 summed
 diagonal by diagonal, with one inner Wright row per (m, n), and T3 summed
-with its own coefficient builder along a ladder of inner rows.
+with its own coefficient builder along a ladder of inner rows, drawn a block
+at a time.
 """
 
 import itertools
@@ -50,8 +51,8 @@ def theorem2_by_diagonals(alpha, beta, alpha1, alpha2, x1, x2, lam, p):
 
     def diagonal(d, inv, fx, gy):
         m = np.arange(d + 1.0)
-        rows = inner.rows(alpha + m, beta + (d - m), alpha + beta + d)
-        return inv * _diagonal_sum(fx, gy, [row.value for row in rows])
+        return inv * _diagonal_sum(fx, gy, list(inner.values(alpha + m, beta + (d - m),
+                                                             alpha + beta + d)))
 
     return sum_with_policy(itertools.starmap(diagonal, _in_blocks(block)), policy)
 
@@ -77,9 +78,9 @@ def theorem6_by_diagonals(a, factors, r, s, delta, omega, lam, p, t):
             tn *= t
             n = np.arange(d + 1.0)
             a_n, b_n = r + delta * n + (d - n), s - r + omega * n
-            rows = inner.rows(a_n, b_n, a_n + b_n)
+            values = inner.values(a_n, b_n, a_n + b_n)
             yield _diagonal_sum(weights, product,
-                                [beta_fn(x, y) * row.value for x, y, row in zip(a_n, b_n, rows)])
+                                [beta_fn(x, y) * value for x, y, value in zip(a_n, b_n, values)])
 
     return sum_with_policy(degree_terms(), policy)
 
@@ -91,11 +92,13 @@ def theorem3_by_ladder(alpha, beta, gamma, a, b, u, v, lam, p):
     width = b - a
     prefactor = auv ** gamma * width ** (alpha + beta - 1.0)
     w = -u * width / auv
-    inner = _InnerTable(lam, complex(p) * width * width, policy).ladder(
-        (alpha, beta, alpha + beta), (1.0, 0.0, 1.0))
+    table = _InnerTable(lam, complex(p) * width * width, policy)
+    inner = _in_blocks(lambda start, count: table.values(
+        alpha + np.arange(start, count, dtype=float), beta,
+        alpha + beta + np.arange(start, count, dtype=float)))
     coefficients = _coefficients(
         np.multiply, lambda m: (-gamma + m) * (alpha + m) * w / ((alpha + beta + m) * (m + 1.0)))
-    terms = (prefactor * c * next(inner).value if c != 0.0 else 0.0j for c in coefficients)
+    terms = (prefactor * c * next(inner) if c != 0.0 else 0.0j for c in coefficients)
     return sum_with_policy(terms, policy)
 
 
