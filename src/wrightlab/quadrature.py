@@ -9,6 +9,8 @@ Cost: an integrand call works on small node arrays, so its fixed Python
 and numpy overhead dominates.  The rule therefore evaluates the centre and
 every level up to one past min_levels, at both endpoints, in a single call
 (most integrals stop at that level) and each later level in one more call.
+Each call's node layout is cached, so the call takes a few array operations
+and weights its values at once; each level reached adds two slice sums.
 The Mittag-Leffler factor of the Euler-type integrand sums its series over
 all nodes of a call at once, a block of terms per step.
 
@@ -28,6 +30,7 @@ function integrals are one of those families.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass
@@ -51,14 +54,12 @@ __all__ = [
 # down to p of a few percent.
 _T_MAX = 6.0
 
-_node_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_MAX_LEVELS = 16  # level L adds 3 * 2**L nodes per side, and the caches keep them
 
 
+@functools.cache
 def _level_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     """sigma values and base weights for the nodes new at this level."""
-    cached = _node_cache.get(level)
-    if cached is not None:
-        return cached
     h = 2.0 ** (-level)
     if level == 0:
         t = np.arange(1, int(_T_MAX) + 1) * 1.0
@@ -68,7 +69,6 @@ def _level_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     sigma = 1.0 / (1.0 + np.exp(2.0 * u))
     # weight = (pi/2) cosh(t) sech^2(u), with sech^2 = 4*sigma*(1-sigma)
     wbase = 0.5 * math.pi * np.cosh(t) * 4.0 * sigma * (1.0 - sigma)
-    _node_cache[level] = (sigma, wbase)
     return sigma, wbase
 
 
@@ -85,8 +85,8 @@ class QuadraturePolicy:
     def __post_init__(self):
         if not self.target_abs_tol > 0.0:
             raise ValueError("target_abs_tol must be positive")
-        if not self.max_levels >= self.min_levels >= 1:
-            raise ValueError("need max_levels >= min_levels >= 1")
+        if not _MAX_LEVELS >= self.max_levels >= self.min_levels >= 1:
+            raise ValueError(f"need {_MAX_LEVELS} >= max_levels >= min_levels >= 1")
 
 
 @dataclass(frozen=True)
@@ -96,25 +96,37 @@ class QuadratureResult:
     evaluations: int
 
 
-def _node_values(f, a: float, b: float, levels, center: bool = False) -> list:
-    """f at the nodes of these levels, both ends, in one call.
+@functools.cache
+def _layout(levels, center: int) -> tuple:
+    """The node layout of one integrand call on (0, 1), built once: sigma and
+    the a-side mask of the centre (if center is 1; sigma = 1/2 on the a side
+    is x = a + (b-a)/2 exactly), then of each level's a-side and b-side nodes;
+    indices gathering all a-side and all b-side values in line with the base
+    weights; the weights; and each level's slices of the call and of those."""
+    sigmas, wbases = zip(*map(_level_nodes, levels))
+    counts = [len(sigma) for sigma in sigmas]
+    ends = np.cumsum([0] + counts).tolist()
+    side = np.concatenate([np.ones(center, bool)] + [np.repeat([True, False], n) for n in counts])
+    return (np.concatenate([np.full(center, 0.5)] + [np.tile(sigma, 2) for sigma in sigmas]),
+            side, np.flatnonzero(side)[center:], np.flatnonzero(~side), np.concatenate(wbases),
+            {level: (slice(center + 2 * lo, center + 2 * hi), slice(lo, hi))
+             for level, lo, hi in zip(levels, ends, ends[1:])})
 
-    Returns one (abscissae, values) pair per level, each laid out as the
-    a-side nodes then the b-side nodes, preceded by the centre's pair when
-    center is set.
-    """
-    width = b - a
-    half = 0.5 * width
-    parts = [(np.array([a + half]), np.array([half]), np.array([half]))] if center else []
-    for level in levels:
-        near = width * _level_nodes(level)[0]
-        far = width - near
-        parts.append((np.concatenate([a + near, b - near]), np.concatenate([near, far]),
-                      np.concatenate([far, near])))
-    x, da, db = (np.concatenate(column) for column in zip(*parts))
-    values = np.asarray(f(x, da, db), dtype=complex)
-    ends = np.cumsum([len(part[0]) for part in parts])
-    return [(part[0], values[end - len(part[0]):end]) for part, end in zip(parts, ends)]
+
+def _sample(f, a: float, b: float, levels, center: int = 0) -> tuple:
+    """f at the nodes of these levels, both ends, in one call: the abscissae,
+    the values, whether all are finite, and the weighted w (f_a + f_b) and
+    |f_a| + |f_b| with the base weights w and the spans of every level."""
+    sigma, side, ia, ib, wbase, spans = _layout(levels, center)
+    near = (b - a) * sigma
+    far = (b - a) - near
+    x = np.where(side, a + near, b - near)
+    values = np.asarray(f(x, np.where(side, near, far), np.where(side, far, near)), dtype=complex)
+    fa, fb = values[ia], values[ib]
+    with np.errstate(invalid="ignore"):  # a non-finite node raises once its level is reached
+        weighted = wbase * (fa + fb)
+        absolute = np.abs(fa) + np.abs(fb)
+    return x, values, bool(np.isfinite(values).all()), weighted, absolute, wbase, spans
 
 
 def _integrate_vec(f, a: float, b: float, policy: QuadraturePolicy) -> QuadratureResult:
@@ -126,33 +138,37 @@ def _integrate_vec(f, a: float, b: float, policy: QuadraturePolicy) -> Quadratur
     of the speculative level min_levels + 1 are neither counted in
     `evaluations` or the error scale nor allowed to fail the integral unless
     the loop reaches them: if the batched call raises, it is repeated
-    without that level.
+    without that level.  Each level adds sums over its slices of arrays
+    weighted once per call, the same floating-point operations as weighting
+    level by level.
     """
     if not a < b:
         raise DomainError(f"need a < b, got ({a!r}, {b!r})")
     half = 0.5 * (b - a)
     try:
-        (_, center), *batch = _node_values(
-            f, a, b, range(min(policy.min_levels + 1, policy.max_levels) + 1), center=True)
+        x, values, finite, weighted, absolute, wbase, spans = _sample(
+            f, a, b, range(min(policy.min_levels + 1, policy.max_levels) + 1), 1)
     except Exception:  # f raises again here if a node the loop needs caused it
-        (_, center), *batch = _node_values(f, a, b, range(policy.min_levels + 1), center=True)
-    if not np.all(np.isfinite(center)):
+        x, values, finite, weighted, absolute, wbase, spans = _sample(
+            f, a, b, range(policy.min_levels + 1), 1)
+    if not np.isfinite(values[0]):
         raise EvaluationError(f"integrand non-finite at x={a + half!r}")
     evaluations = 1
-    trapezoid = 0.5 * math.pi * center[0]  # h-free running node sum
-    l1 = 0.5 * math.pi * abs(center[0])  # the same sum of w |f|, the scale of the error
+    trapezoid = 0.5 * math.pi * values[0]  # h-free running node sum
+    l1 = 0.5 * math.pi * abs(values[0])  # the same sum of w |f|, the scale of the error
     value_prev = None
     err = math.inf
     for level in range(0, policy.max_levels + 1):
-        x, values = batch[level] if level < len(batch) else _node_values(f, a, b, [level])[0]
-        evaluations += len(values)
-        bad = ~np.isfinite(values)
-        if bad.any():
-            raise EvaluationError(f"integrand non-finite near x={float(x[bad][0])!r}")
-        fa, fb = values[:len(values) // 2], values[len(values) // 2:]
-        wbase = _level_nodes(level)[1]
-        trapezoid = trapezoid + (wbase * (fa + fb)).sum()  # skips np.sum's ~1.5 us wrapper
-        l1 = l1 + wbase @ (np.abs(fa) + np.abs(fb))
+        if level not in spans:
+            x, values, finite, weighted, absolute, wbase, spans = _sample(f, a, b, (level,))
+        call, part = spans[level]
+        evaluations += call.stop - call.start
+        if not finite:
+            bad = ~np.isfinite(values[call])
+            if bad.any():
+                raise EvaluationError(f"integrand non-finite near x={float(x[call][bad][0])!r}")
+        trapezoid = trapezoid + weighted[part].sum()  # skips np.sum's ~1.5 us wrapper
+        l1 = l1 + wbase[part] @ absolute[part]
         value = 2.0 ** (-level) * half * trapezoid
         if value_prev is not None:
             err = abs(value - value_prev)
@@ -282,7 +298,8 @@ def evaluate_integral_direct(spec, qpolicy: QuadraturePolicy | None = None) -> Q
     (t-a)^(alpha-1) (b-t)^(beta-1) chi(t)^gamma E_lam[p xi(t)] dt
     with the node forms chi, xi of the spec's family.  The Mittag-Leffler
     factor is computed at every node; real and imaginary parts share one
-    node set.
+    node set.  A B(alpha, beta) below the normal doubles (alpha = beta past
+    509.66) raises EvaluationError.
     """
     qpolicy = qpolicy or QuadraturePolicy()
     spec.validate()
@@ -301,7 +318,10 @@ def evaluate_integral_direct(spec, qpolicy: QuadraturePolicy | None = None) -> Q
             core = core * _ml_values(lam, p * family.xi(da, db, chi))
         return core
 
+    log_beta = log_gamma(spec.alpha) + log_gamma(spec.beta) - log_gamma(spec.alpha + spec.beta)
+    if log_beta < math.log(np.finfo(float).tiny):  # a subnormal B has lost digits; 0 divides
+        raise EvaluationError(f"log B(alpha, beta) = {log_beta:.6g} is below the normal double "
+                              f"range at alpha={spec.alpha!r}, beta={spec.beta!r}")
     raw = _integrate_vec(f, spec.a, spec.b, qpolicy)
-    norm = math.exp(log_gamma(spec.alpha) + log_gamma(spec.beta)
-                    - log_gamma(spec.alpha + spec.beta))
+    norm = math.exp(log_beta)
     return QuadratureResult(raw.value / norm, raw.err_estimate / norm, raw.evaluations)

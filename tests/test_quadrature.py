@@ -1,5 +1,9 @@
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -302,3 +306,35 @@ def test_speculative_level_fails_an_integral_that_needs_it(value):
     f = _unless_speculative(value, lambda x: np.abs(x - 0.3))
     with pytest.raises(EvaluationError, match="speculative|non-finite"):
         _integrate_vec(f, 0.0, 1.0, QuadraturePolicy())
+
+
+def test_max_levels_is_bounded_at_construction():
+    # level L holds 3 * 2**L nodes per side and the node cache keeps every
+    # level, so a stalled integrand under max_levels = 30 would allocate GBs
+    assert QuadraturePolicy(max_levels=16).max_levels == 16
+    for levels in (17, 30):
+        with pytest.raises(ValueError, match="need 16 >= max_levels"):
+            QuadraturePolicy(max_levels=levels)
+
+
+def test_subnormal_beta_normaliser_is_a_typed_error():
+    # log B(530, 530) = -736.6 < ln(DBL_MIN): the normaliser is subnormal and
+    # the value came back off by 1.4e-4 with err_estimate 0; from about
+    # alpha = beta = 537 on it is 0 and the division raised ZeroDivisionError
+    for alpha in (530.0, 600.0):
+        with pytest.raises(EvaluationError, match=rf"alpha={alpha!r}, beta={alpha!r}"):
+            evaluate_integral_direct(t4_spec(alpha, alpha, 0.0, 1.0, 0.0, 0.0, 1.0, 0.5))
+    # sum over k of (1/2)^k (400)_k^2 / (k! (800)_2k), to 30 digits
+    result = evaluate_integral_direct(t4_spec(400.0, 400.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.5))
+    assert rel(result.value, 1.13297166094259635684754018924) <= 1e-12
+
+
+def test_subnormal_beta_normaliser_exits_3_without_traceback():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-m", "wrightlab", "eval", "integral_direct", "family=t4",
+         "alpha=600", "beta=600", "a=0", "b=1", "nu=0", "mu=0", "lam=1", "p=0.5"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+    assert run.returncode == 3
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("convergence error: log B(alpha, beta) = -833.709")
