@@ -1,11 +1,11 @@
 """Named identity-case families and the built-in verification grid.
 
 Every family binds parameters to an IdentityCase whose closed-form series
-and quadrature oracle can be compared point by point; building the case
-validates its spec, which owns the domain.  The default grids cross a
-handful of parameter sets with the standard argument list {0, +-0.8, 1.5,
-0.5+0.5i, -1.2i}, which mixes real and imaginary parts while keeping
-node-level Mittag-Leffler sums cheap.
+and quadrature oracle can be compared point by point; a theorem family
+builds only its spec, which owns the domain, and euler_case binds it to its
+family's route.  The default grids cross a handful of parameter sets with
+the standard argument list {0, +-0.8, 1.5, 0.5+0.5i, -1.2i}, which mixes
+real and imaginary parts while keeping node-level Mittag-Leffler sums cheap.
 """
 
 from __future__ import annotations
@@ -22,11 +22,6 @@ from .identities import (
     HumbertGen,
     IdentityCase,
     application_case,
-    closed_form_lauricella,
-    closed_form_theorem1,
-    closed_form_theorem2,
-    closed_form_theorem3,
-    closed_form_theorem4,
     euler_case,
     factor_pairs,
     generating_case,
@@ -61,13 +56,9 @@ class CaseFamily:
 # -- theorem families -------------------------------------------------------
 
 
-def _euler_builder(name: str, spec_fn: Callable, closed_fn: Callable):
-    """Builder of a theorem family whose spec and closed form take its parameters."""
-
-    def build(**params):
-        return euler_case(name, spec_fn(**params), lambda pol: closed_fn(**params, policy=pol))
-
-    return build
+def _euler_builder(name: str, spec_fn: Callable):
+    """Builder of a theorem family whose spec takes its parameters."""
+    return lambda **params: euler_case(name, spec_fn(**params))
 
 
 # -- generating-function families -------------------------------------------
@@ -108,9 +99,7 @@ def _build_theorem1_random(draw, seed):
     x2 = rng.uniform(-0.5, 0.5)
     lam = rng.choice([0.5, 1.0, 2.0])
     p = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-    return euler_case(
-        "theorem1-random", t1_spec(alpha, beta, alpha1, alpha2, x1, x2, lam, p),
-        lambda pol: closed_form_theorem1(alpha, beta, alpha1, alpha2, x1, x2, lam, p, pol))
+    return euler_case("theorem1-random", t1_spec(alpha, beta, alpha1, alpha2, x1, x2, lam, p))
 
 
 FAMILIES: dict[str, CaseFamily] = {}
@@ -124,37 +113,37 @@ _register(CaseFamily(
     "theorem1",
     {"alpha": [1.2, 0.6], "beta": [0.8], "alpha1": [0.5], "alpha2": [0.9],
      "x1": [0.3], "x2": [-0.25, 0.45], "lam": [0.5, 1.0, 2.0], "p": DEFAULT_P_LIST},
-    _euler_builder("theorem1", t1_spec, closed_form_theorem1),
+    _euler_builder("theorem1", t1_spec),
 ))
 _register(CaseFamily(
     "theorem2",
     {"alpha": [1.5], "beta": [1.1], "alpha1": [0.4], "alpha2": [0.6],
      "x1": [0.2], "x2": [0.3], "lam": [0.5, 1.0], "p": DEFAULT_P_LIST},
-    _euler_builder("theorem2", t2_spec, closed_form_theorem2),
+    _euler_builder("theorem2", t2_spec),
 ))
 _register(CaseFamily(
     "theorem3",
     {"alpha": [0.9], "beta": [1.3], "gamma": [-0.7, 2.0], "a": [0.0], "b": [1.0],
      "u": [-0.4], "v": [1.0], "lam": [0.5, 1.0], "p": DEFAULT_P_LIST},
-    _euler_builder("theorem3", t3_spec, closed_form_theorem3),
+    _euler_builder("theorem3", t3_spec),
 ))
 _register(CaseFamily(
     "theorem3-interval",
     {"alpha": [0.9], "beta": [1.3], "gamma": [-0.7], "a": [-1.0], "b": [1.5],
      "u": [0.3], "v": [1.4], "lam": [1.0], "p": [0.0, 0.4, 0.2 + 0.2j]},
-    _euler_builder("theorem3", t3_spec, closed_form_theorem3),
+    _euler_builder("theorem3", t3_spec),
 ))
 _register(CaseFamily(
     "theorem4",
     {"alpha": [1.2], "beta": [0.8], "a": [0.0], "b": [1.0, 2.5],
      "nu": [0.0, 0.5], "mu": [1.5], "lam": [0.0, 1.0, 2.0], "p": DEFAULT_P_LIST},
-    _euler_builder("theorem4", t4_spec, closed_form_theorem4),
+    _euler_builder("theorem4", t4_spec),
 ))
 _register(CaseFamily(
     "lauricella",
     {"alpha": [0.6], "beta": [1.4], "alphas": [[0.3, 0.5, 0.7]],
      "xs": [[0.2, -0.15, 0.3]], "lam": [1.0, 2.0], "p": DEFAULT_P_LIST},
-    _euler_builder("lauricella", tn_spec, closed_form_lauricella),
+    _euler_builder("lauricella", tn_spec),
 ))
 _register(CaseFamily(
     "ex4.1",

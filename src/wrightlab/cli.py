@@ -27,11 +27,6 @@ from .identities import (
     GegenbauerGen,
     HumbertGen,
     WrightSpec,
-    closed_form_lauricella,
-    closed_form_theorem1,
-    closed_form_theorem2,
-    closed_form_theorem3,
-    closed_form_theorem4,
     factor_pairs,
     generating_integral_closed_form,
     t1_spec,
@@ -120,21 +115,22 @@ def _make_generator(kv: dict):
     raise DomainError(f"unknown generator kind {kind!r}")
 
 
-# Each integral family: its spec builder, its closed form, and the parameters
-# both take before (lam, p), in their order; a and b default to (0, 1).
+# Each integral family: its spec builder and the parameters it takes before
+# (lam, p), in their order; a and b default to (0, 1).
 _FAMILIES = {
-    "t1": (t1_spec, closed_form_theorem1, ("alpha", "beta", "alpha1", "alpha2", "x1", "x2")),
-    "t2": (t2_spec, closed_form_theorem2, ("alpha", "beta", "alpha1", "alpha2", "x1", "x2")),
-    "t3": (t3_spec, closed_form_theorem3, ("alpha", "beta", "gamma", "a", "b", "u", "v")),
-    "t4": (t4_spec, closed_form_theorem4, ("alpha", "beta", "a", "b", "nu", "mu")),
-    "tn": (tn_spec, closed_form_lauricella, ("alpha", "beta", "alphas", "xs")),
+    "t1": (t1_spec, ("alpha", "beta", "alpha1", "alpha2", "x1", "x2")),
+    "t2": (t2_spec, ("alpha", "beta", "alpha1", "alpha2", "x1", "x2")),
+    "t3": (t3_spec, ("alpha", "beta", "gamma", "a", "b", "u", "v")),
+    "t4": (t4_spec, ("alpha", "beta", "a", "b", "nu", "mu")),
+    "tn": (tn_spec, ("alpha", "beta", "alphas", "xs")),
 }
 _UNIT_INTERVAL = {"a": 0.0, "b": 1.0}
 
 
-def _family_args(kv: dict, family: str) -> list:
-    return [kv.get(name, _UNIT_INTERVAL[name]) if name in _UNIT_INTERVAL else kv[name]
-            for name in _FAMILIES[family][2]]
+def _family_spec(kv: dict, family: str, lam, p: complex):
+    spec_fn, names = _FAMILIES[family]
+    return spec_fn(*[kv.get(name, _UNIT_INTERVAL[name]) if name in _UNIT_INTERVAL else kv[name]
+                     for name in names], lam, p)
 
 
 def _euler_spec_from_kv(kv: dict):
@@ -143,12 +139,12 @@ def _euler_spec_from_kv(kv: dict):
     p = _as_complex(kv.pop("p", 0.0))
     if family not in _FAMILIES:
         raise DomainError(f"unknown integral family {family!r}")
-    return _FAMILIES[family][0](*_family_args(kv, family), lam, p)
+    return _family_spec(kv, family, lam, p)
 
 
-def _closed_form(family: str):
-    closed = _FAMILIES[family][1]
-    return lambda kv, pol: closed(*_family_args(kv, family), kv["lam"], _as_complex(kv["p"]), pol)
+def _closed_form(family: str):  # lam and p are required here
+    return lambda kv, pol: _family_spec(kv, family, kv["lam"],
+                                        _as_complex(kv["p"])).closed_form(pol)
 
 
 def _wright_spec(kv: dict) -> WrightSpec:

@@ -11,10 +11,10 @@ more family: with alpha = r, beta = s - r and chi = G(t x^delta
 (1-x)^omega) prod_i (1 - x_i x)^(-a_i), their raw value (without 1/B) is
 B(r, s - r) times I.
 
-Each spec owns its domain: EulerIntegralSpec.validate runs the common
-checks, its family's check and the lam = 0 gate.  Every closed form
-validates by building its spec, and euler_case binds a spec to both
-routes, so both refuse the same points.
+Each family owns its domain check, its node forms and its series route.
+EulerIntegralSpec.closed_form validates (the common checks, the family's
+check, the lam = 0 gate) and runs the route; euler_case validates once and
+binds a spec to its route and to the oracle, so both refuse the same points.
 
 T1, T3 and the n-variable form are one outer sum (_lauricella_sum): a
 block of degrees at a time, the outer coefficients as arrays (the helpers
@@ -101,9 +101,9 @@ class _Family:
     """Shared by the chi/xi families: xi = (t-a)(b-t), whose maximum is width^2/4.
 
     Each family owns check(spec), the domain conditions beyond the common
-    ones of EulerIntegralSpec.validate, and its node forms chi(x, da, db,
-    width) and xi(da, db, chi), which the direct integral evaluates at the
-    abscissae x with exact endpoint distances da = x - a and db = b - x.
+    ones of EulerIntegralSpec.validate; its series route closed(spec, policy)
+    for a valid spec; and its node forms chi(x, da, db, width) and xi(da,
+    db, chi) at abscissae x with exact endpoint distances da and db.
     """
 
     def xi(self, da, db, chi):
@@ -136,6 +136,9 @@ class T1Family(_Family):
     def chi(self, x, da, db, width):
         return (1.0 - self.x1 * x) ** (-self.alpha1) * (1.0 - self.x2 * x) ** (-self.alpha2)
 
+    def closed(self, spec, policy):
+        return TNFamily((self.alpha1, self.alpha2), (self.x1, self.x2)).closed(spec, policy)
+
 
 @dataclass(frozen=True)
 class T2Family(_Family):
@@ -153,6 +156,19 @@ class T2Family(_Family):
 
     def chi(self, x, da, db, width):
         return (1.0 - self.x1 * x) ** (-self.alpha1) * (1.0 - self.x2 * db) ** (-self.alpha2)
+
+    def closed(self, spec, policy):
+        alpha, beta, lam, p = spec.alpha, spec.beta, spec.lam, spec.p
+
+        def step(k):  # w_{k+1} / w_k
+            c = alpha + beta + 2.0 * k
+            return (alpha + k) * (beta + k) * p / (c * (c + 1.0)) * np.exp(
+                [math.lgamma(1.0 + lam * j) - math.lgamma(1.0 + lam * j + lam) for j in k])
+
+        terms = (w * appell_f3(alpha + k, beta + k, self.alpha1, self.alpha2, alpha + beta + 2 * k,
+                               self.x1, self.x2, policy).value if w != 0.0 else 0.0j
+                 for k, w in enumerate(_coefficients(np.multiply, step)))
+        return sum_with_policy(terms, policy)
 
 
 @dataclass(frozen=True)
@@ -172,6 +188,14 @@ class T3Family(_Family):
 
     def chi(self, x, da, db, width):
         return self.u * x + self.v
+
+    def closed(self, spec, policy):
+        auv = spec.a * self.u + self.v
+        width = spec.b - spec.a
+        inner = _lauricella_sum(spec.alpha, spec.beta,
+                                _binomial_product((-spec.gamma,), (-self.u * width / auv,)),
+                                _InnerTable(spec.lam, spec.p * width * width, policy))
+        return _scaled(inner, auv ** spec.gamma * width ** (spec.alpha + spec.beta - 1.0))
 
 
 @dataclass(frozen=True)
@@ -198,6 +222,13 @@ class T4Family(_Family):
         # and the maximum lies at u = (1+mu)/(1+nu)
         return 0.25 / ((1.0 + self.nu) * (1.0 + self.mu))
 
+    def closed(self, spec, policy):
+        alpha, beta, nu1, mu1 = spec.alpha, spec.beta, self.nu + 1.0, self.mu + 1.0
+        inner = wright_psi_normalized(WrightSpec(((alpha, 1.0), (beta, 1.0), (1.0, 1.0)),
+                                                 ((alpha + beta, 2.0), (1.0, spec.lam))),
+                                      spec.p / (nu1 * mu1), policy)
+        return _scaled(inner, nu1 ** (-alpha) * mu1 ** (-beta) / (spec.b - spec.a))
+
 
 @dataclass(frozen=True)
 class TNFamily(_Family):
@@ -220,6 +251,10 @@ class TNFamily(_Family):
         for ai, xi in zip(self.alphas, self.xs):
             out = out * (1.0 - xi * x) ** (-ai)
         return out
+
+    def closed(self, spec, policy):
+        return _lauricella_sum(spec.alpha, spec.beta, _binomial_product(self.alphas, self.xs),
+                               _InnerTable(spec.lam, spec.p, policy))
 
 
 @dataclass(frozen=True)
@@ -245,6 +280,9 @@ class GeneratingFamily(_Family):
         for ai, xi in self.factors:
             out = out * (1.0 - xi * x) ** (-ai)
         return out
+
+    def closed(self, spec, policy):
+        raise DomainError("a generating spec sums by generating_integral_closed_form, given s")
 
 
 @dataclass(frozen=True)
@@ -272,6 +310,11 @@ class EulerIntegralSpec:
         self.family.check(self)
         if self.lam == 0.0 and abs(self.p) * self.family.xi_max(self.b - self.a) >= 1.0:
             raise DomainError("lam = 0 requires |p * xi(t)| < 1 on the whole interval")
+
+    def closed_form(self, policy: SeriesPolicy | None = None) -> SeriesResult:
+        """Validate, then sum the family's series route."""
+        self.validate()
+        return self.family.closed(self, policy or SeriesPolicy())
 
 
 def t1_spec(alpha, beta, alpha1, alpha2, x1, x2, lam, p) -> EulerIntegralSpec:
@@ -417,6 +460,12 @@ def _binomial_product(alphas: Sequence[float], xs: Sequence[float]) -> Callable:
         [_poch_power(x, params, count) for x, params in streams], count))
 
 
+def _scaled(result: SeriesResult, factor) -> SeriesResult:
+    """result times a constant factor, its tail estimate scaled by |factor|."""
+    return SeriesResult(factor * result.value, result.terms_used,
+                        abs(factor) * result.tail_estimate)
+
+
 def _lauricella_sum(alpha: float, beta: float, product: Callable,
                     table: _InnerTable) -> SeriesResult:
     """The n-variable closed form, summed by total degree d.
@@ -444,9 +493,7 @@ def closed_form_theorem1(alpha: float, beta: float, alpha1: float, alpha2: float
 
     At p = 0 this collapses to the F1 double series.
     """
-    t1_spec(alpha, beta, alpha1, alpha2, x1, x2, lam, p).validate()
-    return _lauricella_sum(alpha, beta, _binomial_product((alpha1, alpha2), (x1, x2)),
-                           _InnerTable(lam, complex(p), policy or SeriesPolicy()))
+    return t1_spec(alpha, beta, alpha1, alpha2, x1, x2, lam, p).closed_form(policy)
 
 
 def closed_form_theorem2(alpha: float, beta: float, alpha1: float, alpha2: float,
@@ -458,19 +505,7 @@ def closed_form_theorem2(alpha: float, beta: float, alpha1: float, alpha2: float
     terms_used and tail_estimate cover the sum over k only; each F3 stops by
     the policy itself, and its own truncation error is left out.
     """
-    policy = policy or SeriesPolicy()
-    t2_spec(alpha, beta, alpha1, alpha2, x1, x2, lam, p).validate()
-    p = complex(p)
-
-    def step(k):  # w_{k+1} / w_k
-        c = alpha + beta + 2.0 * k
-        return (alpha + k) * (beta + k) * p / (c * (c + 1.0)) * np.exp(
-            [math.lgamma(1.0 + lam * j) - math.lgamma(1.0 + lam * j + lam) for j in k])
-
-    terms = (w * appell_f3(alpha + k, beta + k, alpha1, alpha2, alpha + beta + 2.0 * k,
-                           x1, x2, policy).value if w != 0.0 else 0.0j
-             for k, w in enumerate(_coefficients(np.multiply, step)))
-    return sum_with_policy(terms, policy)
+    return t2_spec(alpha, beta, alpha1, alpha2, x1, x2, lam, p).closed_form(policy)
 
 
 def closed_form_theorem3(alpha: float, beta: float, gamma: float, a: float, b: float,
@@ -482,29 +517,14 @@ def closed_form_theorem3(alpha: float, beta: float, gamma: float, a: float, b: f
     w = -u(b-a)/(a u + v): the one-variable Lauricella sum with exponent
     -gamma at w, which nonnegative-integer gamma truncates exactly.
     """
-    t3_spec(alpha, beta, gamma, a, b, u, v, lam, p).validate()
-    auv = a * u + v
-    width = b - a
-    prefactor = auv ** gamma * width ** (alpha + beta - 1.0)
-    inner = _lauricella_sum(alpha, beta, _binomial_product((-gamma,), (-u * width / auv,)),
-                            _InnerTable(lam, complex(p) * width * width, policy or SeriesPolicy()))
-    return SeriesResult(prefactor * inner.value, inner.terms_used,
-                        abs(prefactor) * inner.tail_estimate)
+    return t3_spec(alpha, beta, gamma, a, b, u, v, lam, p).closed_form(policy)
 
 
 def closed_form_theorem4(alpha: float, beta: float, a: float, b: float,
                          nu: float, mu: float, lam: float, p: complex,
                          policy: SeriesPolicy | None = None) -> SeriesResult:
     """Closed form of the T4 integral: a prefactor times one inner Wright value."""
-    policy = policy or SeriesPolicy()
-    t4_spec(alpha, beta, a, b, nu, mu, lam, p).validate()
-    scale = (nu + 1.0) ** (-alpha) * (mu + 1.0) ** (-beta) / (b - a)
-    argument = complex(p) / ((nu + 1.0) * (mu + 1.0))
-    spec = WrightSpec(((alpha, 1.0), (beta, 1.0), (1.0, 1.0)),
-                      ((alpha + beta, 2.0), (1.0, lam)))
-    inner = wright_psi_normalized(spec, argument, policy)
-    return SeriesResult(scale * inner.value, inner.terms_used,
-                        abs(scale) * inner.tail_estimate)
+    return t4_spec(alpha, beta, a, b, nu, mu, lam, p).closed_form(policy)
 
 
 def closed_form_lauricella(alpha: float, beta: float, alphas: Sequence[float],
@@ -516,9 +536,7 @@ def closed_form_lauricella(alpha: float, beta: float, alphas: Sequence[float],
     which reduces to closed_form_theorem1 at n = 2 and to the FD series at
     p = 0.
     """
-    tn_spec(alpha, beta, alphas, xs, lam, p).validate()
-    return _lauricella_sum(alpha, beta, _binomial_product(alphas, xs),
-                           _InnerTable(lam, complex(p), policy or SeriesPolicy()))
+    return tn_spec(alpha, beta, alphas, xs, lam, p).closed_form(policy)
 
 
 # ---------------------------------------------------------------------------
@@ -666,23 +684,8 @@ def generating_integral_closed_form(gen, r: float, s: float, delta: float, omega
     over n only; each inner sum stops by the policy itself, and its own
     truncation error is left out.
     """
-    policy = policy or SeriesPolicy()
-    t = complex(t)
-    p = complex(p)
-    factors = tuple(product_factors)
-    generating_spec(gen, r, s, delta, omega, lam, p, t, factors).validate()
-    table = _InnerTable(lam, p, policy)
-    if factors:
-        product = _binomial_product(*zip(*factors))
-        inner = (_lauricella_sum(r + delta * n, s - r + omega * n, product, table).value
-                 for n in itertools.count())
-    else:
-        inner = _in_blocks(lambda start, count: table.values(
-            *(x + dx * np.arange(start, count, dtype=float)
-              for x, dx in ((r, delta), (s - r, omega), (s, delta + omega)))))
-    terms = (w * beta_fn(r + delta * n, s - r + omega * n) * value
-             for n, (value, w) in enumerate(zip(inner, gen.scaled_coefficients(t))))
-    return sum_with_policy(terms, policy)
+    return generating_case("generating", gen, r, s, delta, omega, lam, p, t,
+                           product_factors).closed_form(policy)
 
 
 def reduce_lambda1(spec: WrightSpec, p: complex,
@@ -725,11 +728,13 @@ class IdentityCase:
     oracle: Callable
 
 
-def euler_case(name: str, spec: EulerIntegralSpec, closed: Callable[[SeriesPolicy], SeriesResult],
+def euler_case(name: str, spec: EulerIntegralSpec, closed: Callable | None = None,
                scale: float = 1.0) -> IdentityCase:
-    """Validate spec and bind it to its closed form and to the direct-quadrature
-    oracle, whose value is multiplied by scale."""
+    """Validate spec and bind it to a series route, its family's unless closed
+    is given, and to the direct-quadrature oracle, whose value is multiplied
+    by scale.  The bound route takes a policy or None and validates no more."""
     spec.validate()
+    route = closed or functools.partial(spec.family.closed, spec)
 
     def oracle(qpolicy=None):
         raw = evaluate_integral_direct(spec, qpolicy)
@@ -738,16 +743,32 @@ def euler_case(name: str, spec: EulerIntegralSpec, closed: Callable[[SeriesPolic
         return QuadratureResult(raw.value * scale, raw.err_estimate * abs(scale),
                                 raw.evaluations)
 
-    return IdentityCase(name, spec, closed, oracle)
+    return IdentityCase(name, spec, lambda policy=None: route(policy or SeriesPolicy()), oracle)
 
 
 def generating_case(name, gen, r, s, delta, omega, lam, p, t, factors=()) -> IdentityCase:
-    """Bind a generating-function integral to its closed form and to the
-    oracle of its normalized spec, scaled back by B(r, s - r)."""
+    """Bind a generating-function integral to its raw series (described at
+    generating_integral_closed_form), which takes s itself since alpha + beta
+    need not round back to it, and to its oracle, scaled back by B(r, s - r)."""
     spec = generating_spec(gen, r, s, delta, omega, lam, p, t, factors)
     spec.validate()  # before beta_fn, which would raise PoleError out of the domain
-    return euler_case(name, spec, lambda pol: generating_integral_closed_form(
-        gen, r, s, delta, omega, lam, p, t, factors, pol), beta_fn(r, s - r))
+    factors = spec.family.factors
+
+    def closed(policy):
+        table = _InnerTable(lam, spec.p, policy)
+        if factors:
+            product = _binomial_product(*zip(*factors))
+            inner = (_lauricella_sum(r + delta * n, s - r + omega * n, product, table).value
+                     for n in itertools.count())
+        else:
+            inner = _in_blocks(lambda start, count: table.values(
+                *(x + dx * np.arange(start, count, dtype=float)
+                  for x, dx in ((r, delta), (s - r, omega), (s, delta + omega)))))
+        terms = (w * beta_fn(r + delta * n, s - r + omega * n) * value
+                 for n, (value, w) in enumerate(zip(inner, gen.scaled_coefficients(spec.family.t))))
+        return sum_with_policy(terms, policy)
+
+    return euler_case(name, spec, closed, beta_fn(r, s - r))
 
 
 def evaluate_generating_integral_direct(
@@ -761,84 +782,61 @@ def evaluate_generating_integral_direct(
                            product_factors).oracle(qpolicy)
 
 
+def _case_4_1(p, alpha, alpha1, x1, lam):
+    if not (abs(x1) < 1.0 and x1 < 0.5):
+        raise DomainError("case 4.1 needs |x1| < 1 and x1 < 1/2 so |x2| < 1")
+    # equal exponents and mirrored second argument
+    return euler_case("ex4.1", t1_spec(alpha, alpha, alpha1, alpha1, x1, x1 / (x1 - 1.0), lam, p))
+
+
+def _case_4_2(reduced, p, /, alpha, beta, alpha1, alpha2, x1, lam):
+    if not abs(x1) < 1.0:
+        raise DomainError("case 4.2 needs |x1| < 1")
+    # combined exponent with constant 1/(1-x1) weight
+    combined = alpha1 + alpha2
+    scale = 1.0 / (1.0 - x1)
+    spec = t1_spec(alpha, beta, combined, 0.0, x1, 0.0, lam, p)
+
+    def closed(pol):
+        if not reduced:
+            return _scaled(spec.family.closed(spec, pol), scale)
+        # Same single sum with the inner value routed through the
+        # quarter-argument 2F2 reduction instead of the Wright engine.
+        coefficients = _coefficients(np.multiply, lambda m: (
+            (alpha + m) * (combined + m) * x1 / ((alpha + beta + m) * (m + 1.0))))
+        terms = (scale * c * hyper_pfq(
+            [alpha + m, beta], [0.5 * (alpha + beta + m), 0.5 * (alpha + beta + m + 1.0)],
+            p / 4.0, pol).value for m, c in enumerate(coefficients))
+        return sum_with_policy(terms, pol)
+
+    return euler_case("ex4.2-2f2" if reduced else "ex4.2", spec, closed, scale)
+
+
+_APPLICATION_CASES = {
+    "4.1": _case_4_1,
+    "4.2": functools.partial(_case_4_2, False),
+    # case 4.2 at lam = 1 with its inner value by the 2F2 reduction
+    "4.2-2f2": lambda p, **params: _case_4_2(True, p, lam=1.0, **params),
+    # linear weight specialized to (1 - x1 t)^(-alpha1)
+    "4.3": lambda p, alpha, beta, alpha1, x1, lam: euler_case(
+        "ex4.3", t3_spec(alpha, beta, -alpha1, 0.0, 1.0, -x1, 1.0, lam, p)),
+    # flat weight: value is the inner series over (b - a)
+    "4.4": lambda p, alpha, beta, a, b, lam: euler_case(
+        "ex4.4", t4_spec(alpha, beta, a, b, 0.0, 0.0, lam, p)),
+    # symmetric exponents on (0, 1)
+    "4.5": lambda p, alpha, nu, mu, lam: euler_case(
+        "ex4.5", t4_spec(alpha, alpha, 0.0, 1.0, nu, mu, lam, p)),
+}
+
+
 def application_case(case_id, p: complex, **params) -> IdentityCase:
     """Build one of the specialized scenario cases 4.1 .. 4.5.
 
     Each case binds a fully-validated integral spec to the series route the
-    specialization dictates, ready for dual evaluation.
+    specialization dictates, ready for dual evaluation; its parameters are
+    the keyword arguments of its builder, so a missing one raises TypeError.
     """
-    cid = str(case_id)
-    p = complex(p)
-    if cid == "4.1":
-        alpha = params["alpha"]
-        alpha1 = params["alpha1"]
-        x1 = params["x1"]
-        lam = params["lam"]
-        if not (abs(x1) < 1.0 and x1 < 0.5):
-            raise DomainError("case 4.1 needs |x1| < 1 and x1 < 1/2 so |x2| < 1")
-        # equal exponents and mirrored second argument
-        x2 = x1 / (x1 - 1.0)
-        return euler_case(
-            "ex4.1", t1_spec(alpha, alpha, alpha1, alpha1, x1, x2, lam, p),
-            lambda pol: closed_form_theorem1(alpha, alpha, alpha1, alpha1, x1, x2, lam, p, pol))
-    if cid == "4.2" or cid == "4.2-2f2":
-        alpha = params["alpha"]
-        beta = params["beta"]
-        alpha1 = params["alpha1"]
-        alpha2 = params["alpha2"]
-        x1 = params["x1"]
-        lam = 1.0 if cid == "4.2-2f2" else params["lam"]
-        if not abs(x1) < 1.0:
-            raise DomainError("case 4.2 needs |x1| < 1")
-        # combined exponent with constant 1/(1-x1) weight
-        combined = alpha1 + alpha2
-        scale = 1.0 / (1.0 - x1)
-
-        if cid == "4.2":
-            def closed(pol):
-                inner = closed_form_theorem1(alpha, beta, combined, 0.0, x1, 0.0, lam, p, pol)
-                return SeriesResult(scale * inner.value, inner.terms_used,
-                                    abs(scale) * inner.tail_estimate)
-        else:
-            def closed(pol):
-                # Same single sum with the inner value routed through the
-                # quarter-argument 2F2 reduction instead of the Wright engine.
-                coefficients = _coefficients(np.multiply, lambda m: (
-                    (alpha + m) * (combined + m) * x1 / ((alpha + beta + m) * (m + 1.0))))
-                terms = (scale * c * hyper_pfq(
-                    [alpha + m, beta], [0.5 * (alpha + beta + m), 0.5 * (alpha + beta + m + 1.0)],
-                    p / 4.0, pol).value for m, c in enumerate(coefficients))
-                return sum_with_policy(terms, pol)
-
-        return euler_case("ex" + cid, t1_spec(alpha, beta, combined, 0.0, x1, 0.0, lam, p),
-                          closed, scale)
-    if cid == "4.3":
-        alpha = params["alpha"]
-        beta = params["beta"]
-        alpha1 = params["alpha1"]
-        x1 = params["x1"]
-        lam = params["lam"]
-        # linear weight specialized to (1 - x1 t)^(-alpha1)
-        return euler_case(
-            "ex4.3", t3_spec(alpha, beta, -alpha1, 0.0, 1.0, -x1, 1.0, lam, p),
-            lambda pol: closed_form_theorem3(alpha, beta, -alpha1, 0.0, 1.0, -x1, 1.0, lam, p, pol))
-    if cid == "4.4":
-        alpha = params["alpha"]
-        beta = params["beta"]
-        a = params["a"]
-        b = params["b"]
-        lam = params["lam"]
-        # flat weight: value is the inner series over (b - a)
-        return euler_case(
-            "ex4.4", t4_spec(alpha, beta, a, b, 0.0, 0.0, lam, p),
-            lambda pol: closed_form_theorem4(alpha, beta, a, b, 0.0, 0.0, lam, p, pol))
-    if cid == "4.5":
-        alpha = params["alpha"]
-        nu = params["nu"]
-        mu = params["mu"]
-        lam = params["lam"]
-        # symmetric exponents on (0, 1)
-        return euler_case(
-            "ex4.5", t4_spec(alpha, alpha, 0.0, 1.0, nu, mu, lam, p),
-            lambda pol: closed_form_theorem4(alpha, alpha, 0.0, 1.0, nu, mu, lam, p, pol))
-    raise DomainError(f"unknown application case {case_id!r}")
+    build = _APPLICATION_CASES.get(str(case_id))
+    if build is None:
+        raise DomainError(f"unknown application case {case_id!r}")
+    return build(complex(p), **params)

@@ -299,7 +299,8 @@ def evaluate_integral_direct(spec, qpolicy: QuadraturePolicy | None = None) -> Q
     with the node forms chi, xi of the spec's family.  The Mittag-Leffler
     factor is computed at every node; real and imaginary parts share one
     node set.  A B(alpha, beta) below the normal doubles (alpha = beta past
-    509.66) raises EvaluationError.
+    509.66) raises EvaluationError.  err_estimate adds |value| times a bound
+    on the error of ln B: the README's log-gamma envelope, two roundings.
     """
     qpolicy = qpolicy or QuadraturePolicy()
     spec.validate()
@@ -318,10 +319,14 @@ def evaluate_integral_direct(spec, qpolicy: QuadraturePolicy | None = None) -> Q
             core = core * _ml_values(lam, p * family.xi(da, db, chi))
         return core
 
-    log_beta = log_gamma(spec.alpha) + log_gamma(spec.beta) - log_gamma(spec.alpha + spec.beta)
+    logs = log_gamma(spec.alpha), log_gamma(spec.beta), log_gamma(spec.alpha + spec.beta)
+    log_beta = logs[0] + logs[1] - logs[2]
     if log_beta < math.log(np.finfo(float).tiny):  # a subnormal B has lost digits; 0 divides
         raise EvaluationError(f"log B(alpha, beta) = {log_beta:.6g} is below the normal double "
                               f"range at alpha={spec.alpha!r}, beta={spec.beta!r}")
     raw = _integrate_vec(f, spec.a, spec.b, qpolicy)
     norm = math.exp(log_beta)
-    return QuadratureResult(raw.value / norm, raw.err_estimate / norm, raw.evaluations)
+    log_err = 1.5e-15 * sum(max(1.0, abs(lg)) for lg in logs) + np.finfo(float).eps * (
+        abs(logs[0] + logs[1]) + abs(log_beta))
+    value = raw.value / norm
+    return QuadratureResult(value, raw.err_estimate / norm + abs(value) * log_err, raw.evaluations)

@@ -129,8 +129,8 @@ class WrightSpec:
 
 
 def sum_with_policy(terms: Iterator[complex], policy: SeriesPolicy) -> SeriesResult:
-    """Sum successive terms under the stopping and divergence rules.
-
+    """Sum successive terms under the stopping and divergence rules, which read
+    the plain running sum; the value is the math.fsum of the accepted terms.
     The iterator is drawn at most policy.max_terms times; exhausting the
     budget without meeting the stopping rule raises MaxTermsError, and an
     accepted sum that cancellation has emptied raises CancellationError.
@@ -139,8 +139,8 @@ def sum_with_policy(terms: Iterator[complex], policy: SeriesPolicy) -> SeriesRes
     atol = policy.abs_tol
     need = policy.consecutive_small
     limit = policy.divergence_growth_limit
-    # Neumaier-compensated accumulation, separately for both components.
-    sum_re = sum_im = comp_re = comp_im = 0.0
+    reals, imags = [], []
+    partial = 0.0j
     peak = 0.0
     abs_sum = 0.0
     consecutive = 0
@@ -154,21 +154,9 @@ def sum_with_policy(terms: Iterator[complex], policy: SeriesPolicy) -> SeriesRes
         if math.isinf(mag) or math.isnan(mag):
             raise DivergenceError(f"term {k} is non-finite")
         abs_sum += mag
-        t_re = term.real
-        new_re = sum_re + t_re
-        if abs(sum_re) >= abs(t_re):
-            comp_re += (sum_re - new_re) + t_re
-        else:
-            comp_re += (t_re - new_re) + sum_re
-        sum_re = new_re
-        t_im = term.imag
-        new_im = sum_im + t_im
-        if abs(sum_im) >= abs(t_im):
-            comp_im += (sum_im - new_im) + t_im
-        else:
-            comp_im += (t_im - new_im) + sum_im
-        sum_im = new_im
-        partial = complex(sum_re + comp_re, sum_im + comp_im)
+        reals.append(term.real)
+        imags.append(term.imag)
+        partial += term
         try:
             ap = abs(partial)
         except OverflowError:
@@ -184,9 +172,11 @@ def sum_with_policy(terms: Iterator[complex], policy: SeriesPolicy) -> SeriesRes
         if mag <= rel * ap + atol:
             consecutive += 1
             if consecutive >= need:
+                value = complex(math.fsum(reals), math.fsum(imags))
+                ap = abs(value)
                 if abs_sum > CANCELLATION_LIMIT * ap:
                     raise CancellationError(f"sum of |terms| {abs_sum:.3e} cancels to {ap:.3e}")
-                return SeriesResult(partial, k + 1, mag * need)
+                return SeriesResult(value, k + 1, mag * need)
         else:
             consecutive = 0
     raise MaxTermsError(f"stopping rule unmet after {k + 1} terms")

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from wrightlab import (
+    BinomialGen,
     DomainError,
+    EulerIntegralSpec,
     QuadraturePolicy,
     SeriesPolicy,
+    SeriesResult,
     WrightSpec,
     appell_f1,
     appell_f3,
@@ -18,6 +21,7 @@ from wrightlab import (
     closed_form_theorem2,
     closed_form_theorem3,
     closed_form_theorem4,
+    euler_case,
     evaluate_integral_direct,
     hyper_pfq,
     lauricella_fd,
@@ -29,6 +33,9 @@ from wrightlab import (
     tn_spec,
     wright_psi_normalized,
 )
+from wrightlab.catalog import FAMILIES, family_names, iter_default_points
+from wrightlab.identities import generating_spec
+from wrightlab.verify import evaluate_point
 
 TIGHT = QuadraturePolicy(target_abs_tol=1e-13)
 
@@ -353,3 +360,118 @@ def test_spec_validation_family_consistency():
         t4_spec(1.0, 1.0, 0.0, 1.0, -2.0, 0.0, 1.0, 0.0).validate()
     spec = t3_spec(1.0, 1.0, 0.5, 0.0, 1.0, 0.2, 1.0, 1.0, 0.0)
     spec.validate()
+
+
+# ---------------------------------------------------------------------------
+# The series route of each family, bound from its spec alone
+# ---------------------------------------------------------------------------
+
+
+def seeded_forms(seed):
+    """(spec builder, public closed form, arguments) for one seeded point per family."""
+    rng = random.Random(seed)
+    u = rng.uniform
+    alpha, beta, lam = u(0.4, 2.2), u(0.4, 2.2), rng.choice([0.5, 1.0, 2.0, u(0.3, 2.5)])
+    p = complex(u(-1.0, 1.0), u(-1.0, 1.0))
+    pair = (u(0.2, 1.4), u(0.2, 1.4), u(-0.5, 0.5), u(-0.5, 0.5))
+    n = rng.randint(1, 4)
+    return [
+        (t1_spec, closed_form_theorem1, (alpha, beta, *pair, lam, p)),
+        (t2_spec, closed_form_theorem2, (alpha, beta, *pair, lam, p)),
+        (t3_spec, closed_form_theorem3,
+         (alpha, beta, u(-1.5, 2.0), -0.5, 1.0, u(-0.3, 0.3), 1.0, lam, p)),
+        (t4_spec, closed_form_theorem4,
+         (alpha, beta, u(-1.0, 0.0), u(0.5, 2.0), u(-0.5, 1.5), u(-0.5, 1.5), lam, p)),
+        (tn_spec, closed_form_lauricella,
+         (alpha, beta, [u(0.2, 1.4) for _ in range(n)], [u(-0.5, 0.5) for _ in range(n)],
+          lam, p)),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_euler_case_binds_the_public_closed_form(seed):
+    policy = SeriesPolicy(rel_tol=1e-13)
+    for spec_fn, closed_fn, args in seeded_forms(seed):
+        case = euler_case("route", spec_fn(*args))
+        assert case.closed_form(policy) == closed_fn(*args, policy)
+        assert case.closed_form() == closed_fn(*args) == spec_fn(*args).closed_form()
+
+
+# Each application case as the public closed form of its family.
+APPLICATION_FORMS = {
+    "ex4.1": lambda alpha, alpha1, x1, lam, p: closed_form_theorem1(
+        alpha, alpha, alpha1, alpha1, x1, x1 / (x1 - 1.0), lam, p),
+    "ex4.2": lambda alpha, beta, alpha1, alpha2, x1, lam, p: closed_form_theorem1(
+        alpha, beta, alpha1 + alpha2, 0.0, x1, 0.0, lam, p),
+    "ex4.3": lambda alpha, beta, alpha1, x1, lam, p: closed_form_theorem3(
+        alpha, beta, -alpha1, 0.0, 1.0, -x1, 1.0, lam, p),
+    "ex4.4": lambda alpha, beta, a, b, lam, p: closed_form_theorem4(
+        alpha, beta, a, b, 0.0, 0.0, lam, p),
+    "ex4.5": lambda alpha, nu, mu, lam, p: closed_form_theorem4(
+        alpha, alpha, 0.0, 1.0, nu, mu, lam, p),
+}
+
+
+@pytest.mark.parametrize("family", sorted(APPLICATION_FORMS))
+def test_application_cases_bind_their_family_route(family):
+    for params in iter_default_points(family):
+        closed = FAMILIES[family].build(params).closed_form()
+        expected = APPLICATION_FORMS[family](**params)
+        if family == "ex4.2":  # the constant weight 1/(1 - x1) scales the T1 value
+            scale = 1.0 / (1.0 - params["x1"])
+            expected = SeriesResult(scale * expected.value, expected.terms_used,
+                                    scale * expected.tail_estimate)
+        assert closed == expected
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The specs EulerIntegralSpec.validate is called on, from now on."""
+    calls = []
+    validate = EulerIntegralSpec.validate
+
+    def counted(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(EulerIntegralSpec, "validate", counted)
+    return calls
+
+
+def first_points():
+    return [(family, next(iter_default_points(family))) for family in family_names()]
+
+
+def test_a_built_closed_route_validates_no_more(validations):
+    for family, params in first_points():
+        case = FAMILIES[family].build(params)
+        validations.clear()
+        case.closed_form(SeriesPolicy())
+        assert (family, len(validations)) == (family, 0)
+
+
+def test_a_verify_point_validates_at_build_and_oracle(validations):
+    # the generating families validate once more, before their B(r, s - r)
+    for family, params in first_points():
+        if family.startswith("gen") or family.startswith("theorem6"):
+            continue
+        validations.clear()
+        assert evaluate_point(family, params, 1e-8)["status"] == "pass"
+        assert (family, len(validations)) == (family, 2)
+
+
+def test_application_case_refuses_a_missing_or_foreign_parameter():
+    with pytest.raises(TypeError):
+        application_case("4.1", 0.5, alpha=0.9, alpha1=0.6, x1=0.3)
+    with pytest.raises(TypeError):  # the 2F2 route holds only at lam = 1
+        application_case("4.2", 0.5, alpha=1.0, beta=1.4, alpha1=0.3, alpha2=0.4, x1=0.25,
+                         lam=2.0, reduced=True)
+    with pytest.raises(TypeError):
+        application_case("4.2-2f2", 0.5, alpha=1.0, beta=1.4, alpha1=0.3, alpha2=0.4, x1=0.25,
+                         lam=2.0)
+
+
+def test_a_generating_spec_has_no_route_of_its_own():
+    spec = generating_spec(BinomialGen(0.7), 0.8, 2.1, 1.0, 1.0, 1.0, 0.6, 0.3)
+    with pytest.raises(DomainError, match="generating_integral_closed_form"):
+        spec.closed_form()

@@ -338,3 +338,15 @@ def test_subnormal_beta_normaliser_exits_3_without_traceback():
     assert run.returncode == 3
     assert "Traceback" not in run.stderr
     assert run.stderr.startswith("convergence error: log B(alpha, beta) = -833.709")
+
+
+@pytest.mark.parametrize("alpha", [200.0, 400.0, 509.0])
+def test_err_estimate_covers_the_normaliser(alpha):
+    # 1/B(alpha, alpha) carries the error of three log-gammas of size 850-4,550,
+    # up to about 6e-13 relative, far above the rule's own level difference
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        exact = complex(mp.nsum(lambda k: mp.mpf(0.5) ** k * mp.rf(alpha, k) ** 2
+                                / (mp.factorial(k) * mp.rf(2 * alpha, 2 * k)), [0, mp.inf]))
+    result = evaluate_integral_direct(t4_spec(alpha, alpha, 0.0, 1.0, 0.0, 0.0, 1.0, 0.5))
+    assert abs(result.value - exact) <= result.err_estimate

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -339,3 +340,33 @@ def test_tail_estimate_scale():
     result = mittag_leffler(1.0, 0.3)
     assert 0.0 <= result.tail_estimate <= 1e-12
     assert result.terms_used <= 40
+
+
+@pytest.mark.parametrize("complex_terms", [False, True])
+def test_sum_is_the_exactly_rounded_sum_of_the_accepted_terms(complex_terms):
+    # Seeded decaying streams of random sign whose magnitudes spread over six
+    # decades, so a plain running sum rounds off the exact value on some of them.
+    rng = random.Random(7 + complex_terms)
+    plain_missed = 0
+    for _ in range(200):
+        ratio = rng.uniform(0.3, 0.9)
+
+        def part(k):
+            return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0) * ratio ** k
+
+        drawn = []
+
+        def stream():
+            for k in range(10**6):
+                drawn.append(complex(part(k), part(k)) if complex_terms else part(k))
+                yield drawn[-1]
+
+        result = sum_with_policy(stream(), SeriesPolicy())
+        accepted = drawn[:result.terms_used]
+        abs_sum = sum(abs(t) for t in accepted)
+        assert abs_sum <= CANCELLATION_LIMIT * abs(result.value)
+        exact = complex(float(sum(Fraction(complex(t).real) for t in accepted)),
+                        float(sum(Fraction(complex(t).imag) for t in accepted)))
+        assert result.value == exact
+        plain_missed += sum(accepted) != exact
+    assert plain_missed > 0
