@@ -26,7 +26,9 @@ rows the table cannot settle, and T4's single value, go through the
 scalar engine.  The other forms integrate a series term by term: T2 sums
 Appell F3 values over the powers of p of E_lam[p xi], and the generating
 integrals sum inner rows or, with product factors, _lauricella_sum values
-over G's terms.
+over G's terms.  A sweep over the weights (alpha_i, x_i) reuses the
+tables, the settled rows of the first two blocks and their binomial
+products (_InnerTable).
 
 On a general interval the linear-weight family (T3) picks up the factors
 (b-a)^(alpha+beta-1) and (a*u+v)^gamma, and the series argument becomes
@@ -48,6 +50,7 @@ from .multivar import appell_f3, gegenbauer
 from .quadrature import QuadraturePolicy, QuadratureResult, evaluate_integral_direct
 from .scalars import _is_nonpositive_integer, beta_fn
 from .series import (
+    BLOCK,
     CANCELLATION_LIMIT,
     SeriesPolicy,
     SeriesResult,
@@ -194,7 +197,7 @@ class T3Family(_Family):
         width = spec.b - spec.a
         inner = _lauricella_sum(spec.alpha, spec.beta,
                                 _binomial_product((-spec.gamma,), (-self.u * width / auv,)),
-                                _InnerTable(spec.lam, spec.p * width * width, policy))
+                                _inner_table(spec.lam, spec.p * width * width, policy))
         return _scaled(inner, auv ** spec.gamma * width ** (spec.alpha + spec.beta - 1.0))
 
 
@@ -254,7 +257,7 @@ class TNFamily(_Family):
 
     def closed(self, spec, policy):
         return _lauricella_sum(spec.alpha, spec.beta, _binomial_product(self.alphas, self.xs),
-                               _InnerTable(spec.lam, spec.p, policy))
+                               _inner_table(spec.lam, spec.p, policy))
 
 
 @dataclass(frozen=True)
@@ -355,6 +358,8 @@ def generating_spec(gen, r, s, delta, omega, lam, p, t, factors=()) -> EulerInte
 # below index 50, where the scalar engine's divergence guard starts.
 _FIRST_TERMS = 24
 _ROW_TERMS = 48
+# Cache bounds (_InnerTable); one pass of the theorem1 test grid has 12, 180, 41 keys.
+_TABLES, _ROW_BLOCKS, _PRODUCTS, _KEPT = 32, 192, 48, 2 * BLOCK
 
 
 class _InnerTable:
@@ -371,12 +376,17 @@ class _InnerTable:
     cancelled value is not settled: values() evaluates it by the scalar
     engine when the caller reaches it, so that engine raises every pole,
     divergence, term and cancellation error.
+
+    Reused from lru caches filled on demand, arrays read-only: a table by
+    its key (lam, p, policy), at most _TABLES; a block's value and settled
+    arrays by that key, its ladder (x0, dx) of a, b, c and (start, count)
+    with count <= _KEPT, at most _ROW_BLOCKS; the binomial product of such
+    a count by (alphas, xs, count), at most _PRODUCTS.  About 0.6 MB full.
     """
 
     def __init__(self, lam: float, p: complex, policy: SeriesPolicy):
-        self.lam = lam
-        self.p = p
-        self.policy = policy
+        self.key = lam, p, policy
+        self.lam, self.p, self.policy = self.key
         terms = min(_ROW_TERMS, policy.max_terms)
         self._j = np.arange(terms - 1.0)
         self._column = np.array([-math.lgamma(1.0 + lam * k) for k in range(terms)])
@@ -391,6 +401,8 @@ class _InnerTable:
             self._phase[1:] = np.cumprod(np.full(terms - 1, unit))
         else:
             self._column[1:] = -math.inf
+        for array in self._j, self._column, self._phase:
+            array.setflags(write=False)
 
     def rows(self, a, b, c, count: int = _FIRST_TERMS) -> tuple:
         """Value, terms used, tail estimate and settled flag of each row, as
@@ -430,10 +442,12 @@ class _InnerTable:
                 whole[retry] = part
         return table
 
-    def values(self, a, b, c, weight: np.ndarray | None = None) -> Iterable[complex]:
+    def values(self, a, b, c, weight: np.ndarray | None = None,
+               rows: tuple = ()) -> Iterable[complex]:
         """weight (if given) times the value of each row: a list if every row is
-        settled, else an iterator that runs the scalar engine on reaching one that is not."""
-        value, _, _, ok = self.rows(a, b, c)
+        settled, else an iterator that runs the scalar engine on reaching one
+        that is not.  rows, if given, are the value and settled arrays of rows()."""
+        value, ok = rows or self.rows(a, b, c)[::3]
         terms = (value if weight is None else weight * value).tolist()
         if ok.all():
             return terms
@@ -453,11 +467,46 @@ class _InnerTable:
 # ---------------------------------------------------------------------------
 
 
+_inner_table = functools.lru_cache(maxsize=_TABLES)(_InnerTable)
+
+
+def _rungs(ladder: tuple, start: int, count: int) -> list:
+    d = np.arange(start, count, dtype=float)  # a constant parameter stays a scalar
+    return [x + dx * d if dx else x for x, dx in ladder]
+
+
+@functools.lru_cache(maxsize=_ROW_BLOCKS)
+def _ladder_rows(key: tuple, ladder: tuple, start: int, count: int) -> tuple:
+    value, _, _, ok = _inner_table(*key).rows(*_rungs(ladder, start, count))
+    value.setflags(write=False)
+    ok.setflags(write=False)
+    return value, ok
+
+
+def _ladder_values(table: _InnerTable, ladder: tuple, start: int, count: int,
+                   weight: np.ndarray | None = None) -> Iterable[complex]:
+    """table.values() of the rows x0 + dx d, d = start .. count - 1, for the
+    (x0, dx) of a, b and c in ladder; a block of the first _KEPT degrees takes
+    its rows from _ladder_rows, and forms a, b, c only for an unsettled row."""
+    rows = _ladder_rows(table.key, ladder, start, count) if count <= _KEPT else ()
+    if rows and rows[1].all():
+        return (rows[0] if weight is None else weight * rows[0]).tolist()
+    return table.values(*_rungs(ladder, start, count), weight, rows)
+
+
+@functools.lru_cache(maxsize=_PRODUCTS)
+def _kept_product(alphas: tuple, xs: tuple, count: int) -> np.ndarray:
+    out = _product([_poch_power(xi, (ai,), count) for ai, xi in zip(alphas, xs)], count)
+    out.setflags(write=False)
+    return out
+
+
 def _binomial_product(alphas: Sequence[float], xs: Sequence[float]) -> Callable:
-    """count -> the first count degree coefficients of prod_i (1 - x_i t)^(-a_i), cached."""
-    streams = [(xi, (ai,)) for ai, xi in zip(alphas, xs)]
-    return functools.cache(lambda count: _product(
-        [_poch_power(x, params, count) for x, params in streams], count))
+    """count -> the first count degree coefficients of prod_i (1 - x_i t)^(-a_i);
+    past _KEPT degrees they are formed afresh on each request."""
+    key = tuple(alphas), tuple(xs)
+    return lambda count: (_kept_product if count <= _KEPT else _kept_product.__wrapped__)(
+        *key, count)
 
 
 def _scaled(result: SeriesResult, factor) -> SeriesResult:
@@ -480,8 +529,8 @@ def _lauricella_sum(alpha: float, beta: float, product: Callable,
     def block(start, count):
         j = np.arange(count - 1.0)
         ratio = _running(np.multiply, (alpha + j) / (alpha + beta + j))
-        d = np.arange(start, count, dtype=float)
-        return table.values(alpha + d, beta, alpha + beta + d, (ratio * product(count))[start:])
+        return _ladder_values(table, ((alpha, 1.0), (beta, 0.0), (alpha + beta, 1.0)), start,
+                              count, (ratio * product(count))[start:])
 
     return sum_with_policy(_in_blocks(block), table.policy)
 
@@ -696,7 +745,6 @@ def reduce_lambda1(spec: WrightSpec, p: complex,
     upper parameters (alpha, beta, 1) and lower (alpha+beta, 1); the value
     is 2F2(alpha, beta; (alpha+beta)/2, (alpha+beta+1)/2; p/4).
     """
-    policy = policy or SeriesPolicy()
     ok = (
         len(spec.upper) == 3 and len(spec.lower) == 2
         and all(w == 1.0 for _, w in spec.upper)
@@ -729,18 +777,19 @@ class IdentityCase:
 
 
 def euler_case(name: str, spec: EulerIntegralSpec, closed: Callable | None = None,
-               scale: float = 1.0) -> IdentityCase:
+               scale: Callable[[], float] | None = None) -> IdentityCase:
     """Validate spec and bind it to a series route, its family's unless closed
-    is given, and to the direct-quadrature oracle, whose value is multiplied
-    by scale.  The bound route takes a policy or None and validates no more."""
+    is given, and to the direct-quadrature oracle, whose value is multiplied by
+    scale() if given.  The bound route takes a policy or None and validates no more."""
     spec.validate()
     route = closed or functools.partial(spec.family.closed, spec)
 
     def oracle(qpolicy=None):
         raw = evaluate_integral_direct(spec, qpolicy)
-        if scale == 1.0:
+        factor = 1.0 if scale is None else scale()
+        if factor == 1.0:
             return raw
-        return QuadratureResult(raw.value * scale, raw.err_estimate * abs(scale),
+        return QuadratureResult(raw.value * factor, raw.err_estimate * abs(factor),
                                 raw.evaluations)
 
     return IdentityCase(name, spec, lambda policy=None: route(policy or SeriesPolicy()), oracle)
@@ -749,26 +798,25 @@ def euler_case(name: str, spec: EulerIntegralSpec, closed: Callable | None = Non
 def generating_case(name, gen, r, s, delta, omega, lam, p, t, factors=()) -> IdentityCase:
     """Bind a generating-function integral to its raw series (described at
     generating_integral_closed_form), which takes s itself since alpha + beta
-    need not round back to it, and to its oracle, scaled back by B(r, s - r)."""
+    need not round back to it, and to its oracle, scaled back by B(r, s - r),
+    which only the oracle forms, so a point out of the domain raises DomainError."""
     spec = generating_spec(gen, r, s, delta, omega, lam, p, t, factors)
-    spec.validate()  # before beta_fn, which would raise PoleError out of the domain
     factors = spec.family.factors
 
     def closed(policy):
-        table = _InnerTable(lam, spec.p, policy)
+        table = _inner_table(lam, spec.p, policy)
         if factors:
             product = _binomial_product(*zip(*factors))
             inner = (_lauricella_sum(r + delta * n, s - r + omega * n, product, table).value
                      for n in itertools.count())
         else:
-            inner = _in_blocks(lambda start, count: table.values(
-                *(x + dx * np.arange(start, count, dtype=float)
-                  for x, dx in ((r, delta), (s - r, omega), (s, delta + omega)))))
+            inner = _in_blocks(functools.partial(
+                _ladder_values, table, ((r, delta), (s - r, omega), (s, delta + omega))))
         terms = (w * beta_fn(r + delta * n, s - r + omega * n) * value
                  for n, (value, w) in enumerate(zip(inner, gen.scaled_coefficients(spec.family.t))))
         return sum_with_policy(terms, policy)
 
-    return euler_case(name, spec, closed, beta_fn(r, s - r))
+    return euler_case(name, spec, closed, functools.partial(beta_fn, r, s - r))
 
 
 def evaluate_generating_integral_direct(
@@ -809,7 +857,7 @@ def _case_4_2(reduced, p, /, alpha, beta, alpha1, alpha2, x1, lam):
             p / 4.0, pol).value for m, c in enumerate(coefficients))
         return sum_with_policy(terms, pol)
 
-    return euler_case("ex4.2-2f2" if reduced else "ex4.2", spec, closed, scale)
+    return euler_case("ex4.2-2f2" if reduced else "ex4.2", spec, closed, lambda: scale)
 
 
 _APPLICATION_CASES = {

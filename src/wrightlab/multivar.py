@@ -47,7 +47,6 @@ def appell_f1(alpha: float, beta1: float, beta2: float, gamma: float,
 def appell_f3(alpha1: float, alpha2: float, beta1: float, beta2: float, gamma: float,
               x: complex, y: complex, policy: SeriesPolicy | None = None) -> SeriesResult:
     """Appell F3: sum (alpha1)_m (alpha2)_n (beta1)_m (beta2)_n x^m y^n / ((gamma)_{m+n} m! n!)."""
-    policy = policy or SeriesPolicy()
     if _is_nonpositive_integer(gamma):
         raise PoleError(f"F3 lower parameter {gamma!r} is a nonpositive integer")
     _require_unit_disc((x, y))
@@ -60,7 +59,6 @@ def appell_f3(alpha1: float, alpha2: float, beta1: float, beta2: float, gamma: f
 def humbert_phi2(b1: float, b2: float, c: float, x: complex, y: complex,
                  policy: SeriesPolicy | None = None) -> SeriesResult:
     """Humbert Phi2: sum (b1)_m (b2)_n x^m y^n / ((c)_{m+n} m! n!), entire in x and y."""
-    policy = policy or SeriesPolicy()
     if _is_nonpositive_integer(c):
         raise PoleError(f"Phi2 lower parameter {c!r} is a nonpositive integer")
     terms = _coefficients(np.divide, lambda d: c + d, [(x, (b1,)), (y, (b2,))])
@@ -74,7 +72,6 @@ def lauricella_fd(alpha: float, alphas: Sequence[float], gamma: float,
     The inner sum over compositions of M is the degree-M coefficient of the
     product of the n per-variable streams, times (alpha)_M / (gamma)_M.
     """
-    policy = policy or SeriesPolicy()
     if len(alphas) != len(xs):
         raise DomainError("alphas and xs must have the same length")
     if len(alphas) == 0:

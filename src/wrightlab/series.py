@@ -128,13 +128,14 @@ class WrightSpec:
         return 1.0 + sum(w for _, w in self.lower) - sum(w for _, w in self.upper)
 
 
-def sum_with_policy(terms: Iterator[complex], policy: SeriesPolicy) -> SeriesResult:
-    """Sum successive terms under the stopping and divergence rules, which read
-    the plain running sum; the value is the math.fsum of the accepted terms.
-    The iterator is drawn at most policy.max_terms times; exhausting the
-    budget without meeting the stopping rule raises MaxTermsError, and an
-    accepted sum that cancellation has emptied raises CancellationError.
+def sum_with_policy(terms: Iterator[complex], policy: SeriesPolicy | None = None) -> SeriesResult:
+    """Sum successive terms under the stopping and divergence rules of policy
+    (default if None), which read the plain running sum; the value is the
+    math.fsum of the accepted terms.  The iterator is drawn at most
+    policy.max_terms times; exhausting the budget without meeting the stopping
+    rule raises MaxTermsError, and a sum emptied by cancellation CancellationError.
     """
+    policy = policy or SeriesPolicy()
     rel = policy.rel_tol
     atol = policy.abs_tol
     need = policy.consecutive_small
@@ -277,18 +278,13 @@ def _wright_terms(spec: WrightSpec, z: complex, normalized: bool) -> Iterator[co
     shift_sign = 1
     if normalized:
         # Per-term division by the k=0 gamma products, done on the log scale.
-        for a, _ in upper:
-            if _is_nonpositive_integer(a):
-                raise PoleError(f"normalizing gamma pole at upper parameter {a!r}")
-            lg, sg = log_gamma_signed(a)
-            shift -= lg
-            shift_sign *= sg
-        for b, _ in lower:
-            if _is_nonpositive_integer(b):
-                raise PoleError(f"normalizing gamma pole at lower parameter {b!r}")
-            lg, sg = log_gamma_signed(b)
-            shift += lg
-            shift_sign *= sg
+        for side, params, sense in (("upper", upper, -1.0), ("lower", lower, 1.0)):
+            for x, _ in params:
+                if _is_nonpositive_integer(x):
+                    raise PoleError(f"normalizing gamma pole at {side} parameter {x!r}")
+                lg, sg = log_gamma_signed(x)
+                shift += sense * lg
+                shift_sign *= sg
     phase = _Phase(complex(z))
     lgam = log_gamma_signed
     for k in itertools.count():
@@ -315,7 +311,6 @@ def wright_psi(spec: WrightSpec, z: complex, policy: SeriesPolicy | None = None)
     Gamma poles hit by a parameter ladder raise PoleError at the offending
     term index.
     """
-    policy = policy or SeriesPolicy()
     return sum_with_policy(_wright_terms(spec, z, False), policy)
 
 
@@ -326,7 +321,6 @@ def wright_psi_normalized(spec: WrightSpec, z: complex,
     The normalization happens inside each term on the log scale, so the
     value at z = 0 is 1 without ever forming two large numbers.
     """
-    policy = policy or SeriesPolicy()
     return sum_with_policy(_wright_terms(spec, z, True), policy)
 
 
@@ -337,7 +331,6 @@ def hyper_pfq(num: Sequence[float], den: Sequence[float], z: complex,
     Denominator parameters at nonpositive integers are rejected eagerly;
     nonpositive-integer numerator parameters terminate the series exactly.
     """
-    policy = policy or SeriesPolicy()
     for b in den:
         if _is_nonpositive_integer(b):
             raise PoleError(f"denominator parameter {b!r} is a nonpositive integer")

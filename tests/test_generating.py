@@ -21,6 +21,7 @@ from wrightlab import (
     hyper_pfq,
     wright_psi,
 )
+from wrightlab import identities
 from wrightlab.cli import main
 
 TIGHT = QuadraturePolicy(target_abs_tol=1e-13)
@@ -220,6 +221,27 @@ _OUT_OF_DOMAIN = {
 def test_both_routes_refuse_the_same_points(route, args):
     with pytest.raises(DomainError):
         route(*args)
+
+def test_generating_build_validates_once_and_leaves_the_scale_to_the_oracle(monkeypatch):
+    calls = {"validate": 0, "beta_fn": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(identities.EulerIntegralSpec, "validate",
+                        counted("validate", identities.EulerIntegralSpec.validate))
+    monkeypatch.setattr(identities, "beta_fn", counted("beta_fn", identities.beta_fn))
+    for factors in ((), [(0.4, 0.3)]):
+        calls.update(validate=0, beta_fn=0)
+        case = identities.generating_case("gen", BinomialGen(0.7), 0.8, 2.1, 1.0, 1.0, 1.0, 0.6,
+                                          0.3, factors)
+        assert calls == {"validate": 1, "beta_fn": 0}
+        case.oracle()
+        assert calls == {"validate": 2, "beta_fn": 1}  # the oracle's own check, and the scale
+
 
 def test_parameter_gates():
     with pytest.raises(DomainError):
