@@ -16,15 +16,16 @@ EulerIntegralSpec.closed_form validates (the common checks, the family's
 check, the lam = 0 gate) and runs the route; euler_case validates once and
 binds a spec to its route and to the oracle, so both refuse the same points.
 
-T1, T3 and the n-variable form are one outer sum (_lauricella_sum): a
-block of degrees at a time, the outer coefficients as arrays (the helpers
-of series) times one inner value per total degree.  The inner engine is
-a 3-by-2 Wright series with weight pattern (1,1,1; 2, lam), tabulated for
-a block of degrees at once in log space as a (terms, rows) array, to 24
-terms and then to 48 for the rows that have not stopped (_InnerTable);
-rows the table cannot settle, and T4's single value, go through the
-scalar engine.  The other forms integrate a series term by term: T2 sums
-Appell F3 values over the powers of p of E_lam[p xi], and the generating
+T1, T2, T3 and the n-variable form are one outer sum (_lauricella_sum),
+in the orientation t or 1 - t that Pfaff's map gives the smaller max |x_i|
+(_pfaff; T2 sums Appell F3 values over the powers of p of E_lam[p xi]
+where neither shrinks it): a block of degrees at a time, the outer
+coefficients as arrays (the helpers of series) times one inner value per
+total degree.  The inner engine is a 3-by-2 Wright series with weight
+pattern (1,1,1; 2, lam), tabulated for a block of degrees at once in log
+space as a (terms, rows) array, to 24 terms and then to 48 for the rows
+that have not stopped (_InnerTable); rows the table cannot settle, and
+T4's single value, go through the scalar engine.  The generating
 integrals sum inner rows or, with product factors, _lauricella_sum values
 over G's terms.  A sweep over the weights (alpha_i, x_i) reuses the
 tables, the settled rows of the first two blocks and their binomial
@@ -134,7 +135,7 @@ class T1Family(_Family):
     def check(self, spec):
         _check_unit_interval(spec)
         if abs(self.x1) >= 1.0 or abs(self.x2) >= 1.0:
-            raise DomainError("T1 needs |x1| < 1 and |x2| < 1")
+            raise DomainError("need |x1| < 1 and |x2| < 1")
 
     def chi(self, x, da, db, width):
         return (1.0 - self.x1 * x) ** (-self.alpha1) * (1.0 - self.x2 * x) ** (-self.alpha2)
@@ -144,23 +145,21 @@ class T1Family(_Family):
 
 
 @dataclass(frozen=True)
-class T2Family(_Family):
-    """chi = (1 - x1 t)^(-a1) (1 - x2 (1-t))^(-a2), xi = t(1-t), on (0, 1)."""
-
-    alpha1: float
-    alpha2: float
-    x1: float
-    x2: float
-
-    def check(self, spec):
-        _check_unit_interval(spec)
-        if abs(self.x1) >= 1.0 or abs(self.x2) >= 1.0:
-            raise DomainError("T2 needs |x1| < 1 and |x2| < 1")
+class T2Family(T1Family):
+    """chi = (1 - x1 t)^(-a1) (1 - x2 (1-t))^(-a2), xi = t(1-t), on (0, 1): the
+    fields and domain of T1, its x2 factor reflected, so Pfaff's map makes it a T1."""
 
     def chi(self, x, da, db, width):
         return (1.0 - self.x1 * x) ** (-self.alpha1) * (1.0 - self.x2 * db) ** (-self.alpha2)
 
     def closed(self, spec, policy):
+        side = _pfaff(spec.alpha, spec.beta, (self.alpha1, self.alpha2), (self.x1, self.x2),
+                      (False, True))
+        if side[0] <= max(abs(self.x1), abs(self.x2)):
+            return _oriented_sum(side, (self.alpha1, self.alpha2), spec.lam, spec.p, policy)
+        return self.by_f3(spec, policy)
+
+    def by_f3(self, spec, policy):  # described at closed_form_theorem2
         alpha, beta, lam, p = spec.alpha, spec.beta, spec.lam, spec.p
 
         def step(k):  # w_{k+1} / w_k
@@ -184,10 +183,6 @@ class T3Family(_Family):
     def check(self, spec):
         if spec.a * self.u + self.v <= 0.0 or spec.b * self.u + self.v <= 0.0:
             raise DomainError("T3 needs u*t + v positive at both endpoints")
-        # the closed form is a power series in w; it terminates at gamma = 0, 1, 2, ...
-        w = -self.u * (spec.b - spec.a) / (spec.a * self.u + self.v)
-        if abs(w) >= 1.0 and not _is_nonpositive_integer(-spec.gamma):
-            raise DomainError("T3 needs |u (b-a) / (a u + v)| < 1 or gamma = 0, 1, 2, ...")
 
     def chi(self, x, da, db, width):
         return self.u * x + self.v
@@ -195,10 +190,9 @@ class T3Family(_Family):
     def closed(self, spec, policy):
         auv = spec.a * self.u + self.v
         width = spec.b - spec.a
-        inner = _lauricella_sum(spec.alpha, spec.beta,
-                                _binomial_product((-spec.gamma,), (-self.u * width / auv,)),
-                                _inner_table(spec.lam, spec.p * width * width, policy))
-        return _scaled(inner, auv ** spec.gamma * width ** (spec.alpha + spec.beta - 1.0))
+        side = _pfaff(spec.alpha, spec.beta, (-spec.gamma,), (-self.u * width / auv,), (False,))
+        return _oriented_sum(side, (-spec.gamma,), spec.lam, spec.p * width * width, policy,
+                             auv ** spec.gamma * width ** (spec.alpha + spec.beta - 1.0))
 
 
 @dataclass(frozen=True)
@@ -256,8 +250,8 @@ class TNFamily(_Family):
         return out
 
     def closed(self, spec, policy):
-        return _lauricella_sum(spec.alpha, spec.beta, _binomial_product(self.alphas, self.xs),
-                               _inner_table(spec.lam, spec.p, policy))
+        side = _pfaff(spec.alpha, spec.beta, self.alphas, self.xs, (False,) * len(self.xs))
+        return _oriented_sum(side, self.alphas, spec.lam, spec.p, policy)
 
 
 @dataclass(frozen=True)
@@ -358,8 +352,8 @@ def generating_spec(gen, r, s, delta, omega, lam, p, t, factors=()) -> EulerInte
 # below index 50, where the scalar engine's divergence guard starts.
 _FIRST_TERMS = 24
 _ROW_TERMS = 48
-# Cache bounds (_InnerTable); one pass of the theorem1 test grid has 12, 180, 41 keys.
-_TABLES, _ROW_BLOCKS, _PRODUCTS, _KEPT = 32, 192, 48, 2 * BLOCK
+# Cache bounds (_InnerTable, _pfaff); a pass of the theorem1 test grid has 12, 180, 41, 324 keys.
+_TABLES, _ROW_BLOCKS, _PRODUCTS, _KEPT, _SIDES = 32, 192, 48, 2 * BLOCK, 512
 
 
 class _InnerTable:
@@ -535,6 +529,29 @@ def _lauricella_sum(alpha: float, beta: float, product: Callable,
     return sum_with_policy(_in_blocks(block), table.policy)
 
 
+@functools.lru_cache(maxsize=_SIDES)
+def _pfaff(alpha: float, beta: float, alphas: Sequence[float], xs: Sequence[float],
+           reflected: Sequence[bool]) -> tuple:
+    """(max |x_i|, scale, alpha, beta, xs): prod_i (1 - x_i t_i)^(-a_i), t_i = 1 - t if
+    reflected[i] else t, as scale prod_i (1 - x_i t)^(-a_i) in the orientation of smaller
+    max |x_i| (the given one on a tie).  t -> 1 - t swaps alpha and beta and flips each t_i;
+    Pfaff's (1 - x (1-t))^(-a) = (1-x)^(-a) (1 - x t/(x-1))^(-a) (DLMF 15.8.1) does the rest."""
+    given = [x / (x - 1.0) if r else x for x, r in zip(xs, reflected)]
+    other = [x if r else x / (x - 1.0) for x, r in zip(xs, reflected)]
+    flip = max(map(abs, other)) < max(map(abs, given))
+    out = other if flip else given
+    scale = math.prod([(1.0 - x) ** -a for a, x, r in zip(alphas, xs, reflected) if r != flip])
+    return max(map(abs, out)), scale, *((beta, alpha) if flip else (alpha, beta)), tuple(out)
+
+
+def _oriented_sum(side: tuple, alphas, lam, p, policy, prefactor=1.0) -> SeriesResult:
+    """prefactor times the n-variable closed form in a _pfaff orientation."""
+    _, scale, alpha, beta, xs = side
+    inner = _lauricella_sum(alpha, beta, _binomial_product(alphas, xs),
+                            _inner_table(lam, p, policy))
+    return inner if scale * prefactor == 1.0 else _scaled(inner, scale * prefactor)
+
+
 def closed_form_theorem1(alpha: float, beta: float, alpha1: float, alpha2: float,
                          x1: float, x2: float, lam: float, p: complex,
                          policy: SeriesPolicy | None = None) -> SeriesResult:
@@ -548,11 +565,13 @@ def closed_form_theorem1(alpha: float, beta: float, alpha1: float, alpha2: float
 def closed_form_theorem2(alpha: float, beta: float, alpha1: float, alpha2: float,
                          x1: float, x2: float, lam: float, p: complex,
                          policy: SeriesPolicy | None = None) -> SeriesResult:
-    """Series value of the T2 integral, E_lam[p xi] integrated term by term:
-    sum_k w_k F3(alpha+k, beta+k, alpha1, alpha2; alpha+beta+2k; x1, x2) with
-    w_k = (alpha)_k (beta)_k p^k / ((alpha+beta)_{2k} Gamma(1 + lam k)).
-    terms_used and tail_estimate cover the sum over k only; each F3 stops by
-    the policy itself, and its own truncation error is left out.
+    """Series value of the T2 integral.  Pfaff's map of one factor makes it
+    (1-x2)^(-a2) T1(alpha, beta; x1, x2/(x2-1)) or (1-x1)^(-a1) T1(beta, alpha;
+    x1/(x1-1), x2); the one of smaller max |x| is summed where that is at most
+    max(|x1|, |x2|), terms_used counting its T1 degrees.  Elsewhere (as at both
+    x_i >= 1/2) T2Family.by_f3 sums E_lam[p xi] term by term, sum_k w_k F3(alpha+k, beta+k,
+    alpha1, alpha2; alpha+beta+2k; x1, x2), w_k = (alpha)_k (beta)_k p^k /
+    ((alpha+beta)_{2k} Gamma(1 + lam k)); terms_used and the tail cover k only.
     """
     return t2_spec(alpha, beta, alpha1, alpha2, x1, x2, lam, p).closed_form(policy)
 
@@ -563,8 +582,9 @@ def closed_form_theorem3(alpha: float, beta: float, gamma: float, a: float, b: f
     """Series value of the linear-weight (T3) integral.
 
     Mapped onto (0, 1) the weight is (a u + v)^gamma (1 - w t)^gamma with
-    w = -u(b-a)/(a u + v): the one-variable Lauricella sum with exponent
-    -gamma at w, which nonnegative-integer gamma truncates exactly.
+    w = -u(b-a)/(a u + v) < 1: the one-variable Lauricella sum with exponent
+    -gamma at w, which nonnegative-integer gamma truncates exactly.  At w < 0 it
+    is summed mirrored (the TN rule) at w/(w-1), terms_used counting its degrees.
     """
     return t3_spec(alpha, beta, gamma, a, b, u, v, lam, p).closed_form(policy)
 

@@ -93,10 +93,15 @@ class TestTheorem1:
 
 class TestTheorem2:
     def test_p_zero_is_f3(self):
-        # only the k = 0 weight is nonzero: one F3 value, then three zero terms
-        lhs = closed_form_theorem2(1.5, 1.1, 0.4, 0.6, 0.2, 0.3, 1.0, 0.0)
-        assert lhs.value == appell_f3(1.5, 1.1, 0.4, 0.6, 2.6, 0.2, 0.3).value
+        # on the F3 route only the k = 0 weight is nonzero: one F3 value, then
+        # three zero terms
+        spec = t2_spec(1.5, 1.1, 0.4, 0.6, 0.2, 0.3, 1.0, 0.0)
+        lhs = spec.family.by_f3(spec, SeriesPolicy())
+        f3 = appell_f3(1.5, 1.1, 0.4, 0.6, 2.6, 0.2, 0.3).value
+        assert lhs.value == f3
         assert lhs.terms_used == 4
+        # the public route sums the T1 form of Pfaff's map instead (1.9e-16 here)
+        assert rel(closed_form_theorem2(1.5, 1.1, 0.4, 0.6, 0.2, 0.3, 1.0, 0.0).value, f3) <= 1e-15
 
     def test_second_exponent_zero_matches_theorem1(self):
         lhs = closed_form_theorem2(1.5, 1.1, 0.4, 0.0, 0.2, 0.3, 0.5, 0.8).value
@@ -139,12 +144,17 @@ class TestTheorem3:
 
     @pytest.mark.parametrize("u", [1.0, 2.0])
     def test_series_argument_outside_the_disc(self, u):
-        # w = -u (b-a) / (a u + v) = -u: the closed form cannot sum it, and
-        # the spec refuses it for both routes
-        with pytest.raises(DomainError, match="gamma = 0, 1, 2"):
-            closed_form_theorem3(0.9, 1.3, -0.7, 0.0, 1.0, u, 1.0, 1.0, 0.5)
-        with pytest.raises(DomainError, match="gamma = 0, 1, 2"):
-            evaluate_integral_direct(t3_spec(0.9, 1.3, -0.7, 0.0, 1.0, u, 1.0, 1.0, 0.5))
+        # w = -u (b-a) / (a u + v) = -u, but chi = u t + 1 > 0: the closed form
+        # sums the mirrored weight, t -> 1 - t, at w/(w-1) = u/(1+u), which is
+        # the spec with alpha and beta swapped, -u and u (a+b) + v.  Against
+        # 45-digit mpmath.quad values the closed form is off by 1.7e-15 and
+        # 7.4e-15 (its series stops at rel_tol 1e-14 with ratio up to 2/3),
+        # the oracle by 9.3e-16.
+        result = closed_form_theorem3(0.9, 1.3, -0.7, 0.0, 1.0, u, 1.0, 1.0, 0.5)
+        assert result == closed_form_theorem3(1.3, 0.9, -0.7, 0.0, 1.0, -u, u + 1.0, 1.0, 0.5)
+        direct = evaluate_integral_direct(t3_spec(0.9, 1.3, -0.7, 0.0, 1.0, u, 1.0, 1.0, 0.5),
+                                          TIGHT).value
+        assert rel(result.value, direct) <= 1e-14
 
     @pytest.mark.parametrize("gamma", [0.0, 2.0, 3.0])
     def test_terminating_sum_outside_the_disc(self, gamma):
@@ -331,12 +341,15 @@ class TestApplicationCases:
         assert rel(lhs, rhs) <= 1e-12
 
     def test_case_43_argument_bound(self):
-        # x1 is the T3 series argument: |x1| >= 1 only where the sum terminates
+        # x1 is the T3 series argument; chi = 1 - x1 t must stay positive, so
+        # x1 < 1, and x1 <= -1 is summed mirrored (terminating or not)
         with pytest.raises(DomainError):
-            application_case("4.3", 0.5, alpha=0.9, beta=1.3, alpha1=0.8, x1=-1.5, lam=1.0)
-        case = application_case("4.3", 0.5, alpha=0.9, beta=1.3, alpha1=-2.0, x1=-1.5,
-                                lam=1.0)
-        assert rel(case.closed_form(SeriesPolicy()).value, case.oracle(TIGHT).value) <= 1e-12
+            application_case("4.3", 0.5, alpha=0.9, beta=1.3, alpha1=0.8, x1=1.5, lam=1.0)
+        for alpha1 in (0.8, -2.0):
+            case = application_case("4.3", 0.5, alpha=0.9, beta=1.3, alpha1=alpha1, x1=-1.5,
+                                    lam=1.0)
+            assert rel(case.closed_form(SeriesPolicy()).value,
+                       case.oracle(TIGHT).value) <= 1e-12
 
     def test_case_44_trivial_point(self):
         case = application_case("4.4", 0.0, alpha=1.0, beta=1.0, a=0.0, b=1.0, lam=1.0)

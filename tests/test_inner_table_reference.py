@@ -6,7 +6,9 @@ with 48 columns each and yielded one SeriesResult per row along a ladder of
 48-row blocks, and the former outer sums that zipped that ladder with their
 coefficient streams.  The array table keeps the same log-space arithmetic
 and the same order of every sum, so every closed form built on it must
-return the same SeriesResult, bit for bit.
+return the same SeriesResult, bit for bit.  The closed forms sum in the
+orientation t or 1 - t that _pfaff picks, so the references take their
+inputs through _pfaff too and scale the sum as the route does.
 """
 
 import itertools
@@ -29,7 +31,7 @@ from wrightlab import (
     generating_integral_closed_form,
     wright_psi_normalized,
 )
-from wrightlab.identities import _InnerTable
+from wrightlab.identities import _InnerTable, _pfaff
 from wrightlab.series import BLOCK, CANCELLATION_LIMIT, _coefficients, sum_with_policy
 
 _ROW_TERMS = 48
@@ -106,19 +108,24 @@ def _lauricella_by_rows(alpha, beta, product, table):
                            table.policy)
 
 
+def _oriented_reference(alpha, beta, alphas, xs, lam, p, policy, prefactor=1.0):
+    _, scale, alpha, beta, xs = _pfaff(alpha, beta, tuple(alphas), tuple(xs), (False,) * len(xs))
+    inner = _lauricella_by_rows(alpha, beta, _binomial_stream(alphas, xs),
+                                _RowTable(lam, complex(p), policy))
+    factor = scale * prefactor
+    return SeriesResult(factor * inner.value, inner.terms_used, abs(factor) * inner.tail_estimate)
+
+
 def lauricella_reference(alpha, beta, alphas, xs, lam, p, policy=None):
-    return _lauricella_by_rows(alpha, beta, _binomial_stream(alphas, xs),
-                               _RowTable(lam, complex(p), policy or SeriesPolicy()))
+    return _oriented_reference(alpha, beta, alphas, xs, lam, p, policy or SeriesPolicy())
 
 
 def theorem3_reference(alpha, beta, gamma, a, b, u, v, lam, p):
     auv = a * u + v
     width = b - a
-    prefactor = auv ** gamma * width ** (alpha + beta - 1.0)
-    inner = _lauricella_by_rows(alpha, beta, _binomial_stream((-gamma,), (-u * width / auv,)),
-                                _RowTable(lam, complex(p) * width * width, SeriesPolicy()))
-    return SeriesResult(prefactor * inner.value, inner.terms_used,
-                        abs(prefactor) * inner.tail_estimate)
+    return _oriented_reference(alpha, beta, (-gamma,), (-u * width / auv,), lam,
+                               complex(p) * width * width, SeriesPolicy(),
+                               auv ** gamma * width ** (alpha + beta - 1.0))
 
 
 def generating_reference(gen, r, s, delta, omega, lam, p, t, factors=()):

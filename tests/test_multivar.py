@@ -20,6 +20,7 @@ from wrightlab import (
     humbert_phi2,
     hyper_pfq,
     lauricella_fd,
+    t2_spec,
 )
 from wrightlab.cli import main
 from wrightlab.identities import _binomial_product, _InnerTable, _lauricella_sum
@@ -338,13 +339,18 @@ class TestOverflowPastTheStop:
     warning an error here, that must stay silent."""
 
     def test_theorem2_stops_before_its_stream_overflows(self):
-        # 12 terms in k; the k = 0 F3 stops after 145 diagonals and its x1
-        # stream overflows from m = 176, in the block after the stop
-        result = closed_form_theorem2(1.5, 1.1, 0.4, 0.6, 0.85, 0.3, 1.0, 0.5)
+        # On the F3 route: 12 terms in k; the k = 0 F3 stops after 145
+        # diagonals and its x1 stream overflows from m = 176, in the block
+        # after the stop
+        spec = t2_spec(1.5, 1.1, 0.4, 0.6, 0.85, 0.3, 1.0, 0.5)
+        result = spec.family.by_f3(spec, SeriesPolicy())
         assert result.terms_used == 12
         assert rel(result.value, 1.63576937131008) <= 1e-15
-        # a 40-digit mpmath.quad value of the integral
+        # a 40-digit mpmath.quad value of the integral; the public route sums
+        # the T1 form of Pfaff's map (3.3e-14 off here, the F3 route 3.7e-14)
         assert rel(result.value, 1.6357693713101403) <= 5e-14
+        public = closed_form_theorem2(1.5, 1.1, 0.4, 0.6, 0.85, 0.3, 1.0, 0.5)
+        assert rel(public.value, 1.6357693713101403) <= 5e-14
 
     def test_f3_overflow_is_a_divergence(self):
         with pytest.raises(DivergenceError):

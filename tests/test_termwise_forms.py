@@ -1,6 +1,6 @@
-"""T2 as F3 values over the E_lam expansion, T3 as the one-variable
-Lauricella sum, and theorem 6 as Lauricella sums over the generator's
-terms, against the sums they replaced.
+"""T2 (a T1 by Pfaff's map, or F3 values over the E_lam expansion), T3 as
+the one-variable Lauricella sum, and theorem 6 as Lauricella sums over the
+generator's terms, against the sums they replaced.
 
 The references below are the former private sums: T2 and theorem 6 summed
 diagonal by diagonal, with one inner Wright row per (m, n), and T3 summed
@@ -21,7 +21,7 @@ from wrightlab import (
     closed_form_theorem3,
     generating_integral_closed_form,
 )
-from wrightlab.identities import _binomial_product, _InnerTable, _lauricella_sum
+from wrightlab.identities import _binomial_product, _InnerTable, _lauricella_sum, _pfaff
 from wrightlab.series import BLOCK, _coefficients, _in_blocks, _poch_power, _product, _running
 from wrightlab.series import sum_with_policy
 
@@ -90,8 +90,9 @@ def theorem3_by_ladder(alpha, beta, gamma, a, b, u, v, lam, p):
     policy = SeriesPolicy()
     auv = a * u + v
     width = b - a
-    prefactor = auv ** gamma * width ** (alpha + beta - 1.0)
-    w = -u * width / auv
+    # the orientation of the route, and its scale in the prefactor
+    _, scale, alpha, beta, (w,) = _pfaff(alpha, beta, (-gamma,), (-u * width / auv,), (False,))
+    prefactor = scale * (auv ** gamma * width ** (alpha + beta - 1.0))
     table = _InnerTable(lam, complex(p) * width * width, policy)
     inner = _in_blocks(lambda start, count: table.values(
         alpha + np.arange(start, count, dtype=float), beta,

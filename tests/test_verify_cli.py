@@ -416,15 +416,17 @@ class TestCli:
         assert main(["eval"] + args) == 3
         assert "partial sum is non-finite" in capsys.readouterr().err
 
-    def test_verify_skips_t3_points_outside_the_series_disc(self, tmp_path):
+    def test_verify_sums_t3_points_outside_the_series_disc(self, tmp_path):
+        # w = -u at u = 1, 2 is summed mirrored; u = -1.5 makes chi negative at t = 1
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"cases": ["theorem3"], "grids": {"theorem3": {
             "alpha": [0.9], "beta": [1.3], "gamma": [-0.7], "a": [0.0], "b": [1.0],
-            "u": [1.0, 2.0], "v": [1.0], "lam": [1.0], "p": [0.5]}}}))
+            "u": [1.0, 2.0, -1.5], "v": [1.0], "lam": [1.0], "p": [0.5]}}}))
         out = tmp_path / "r.json"
         assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 0
         report = json.loads(out.read_text())
-        assert [r["status"] for r in report["records"]] == ["skipped-domain"] * 2
+        assert {r["params"]["u"]: r["status"] for r in report["records"]} == {
+            1.0: "pass", 2.0: "pass", -1.5: "skipped-domain"}
 
     def test_verify_case_filter_and_failure_exit(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
