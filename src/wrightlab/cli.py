@@ -271,7 +271,7 @@ def _cmd_verify(args) -> int:
 def _cmd_report(args) -> int:
     try:
         report = load_report(args.report)
-    except (OSError, ValueError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:  # JSON nested past the parser limit
         print(f"report error: {exc}", file=sys.stderr)
         return 1
     if args.out:

@@ -41,12 +41,23 @@ __all__ = [
 ]
 
 REL_ERR_FLOOR = 1e-300
-_FIXED_COLUMNS_TAIL = [
-    "closed_form_re", "closed_form_im", "oracle_re", "oracle_im",
-    "abs_err", "rel_err", "terms_used", "node_evals", "status",
-]
-_RECORD_KEYS = ("case_name", "params", "closed_form", "oracle", "abs_err", "rel_err",
-                "terms_used", "node_evals", "status")
+# A record is its case_name, its params, then these fields in CSV column
+# order, each of one shape (_SHAPES).  A pair takes the two columns
+# <field>_re and <field>_im.
+_RECORD_FIELDS = {
+    "closed_form": "pair", "oracle": "pair", "abs_err": "number", "rel_err": "number",
+    "terms_used": "number", "node_evals": "number", "status": "status",
+}
+_STATUSES = ("pass", "fail", "skipped-domain", "error")
+_SHAPES = {
+    "text": ("a string", lambda v: isinstance(v, str)),
+    "object": ("an object", lambda v: isinstance(v, dict)),
+    "pair": ("null or an [re, im] pair of numbers",
+             lambda v: v is None or isinstance(v, list) and len(v) == 2
+             and all(map(_is_number, v))),
+    "number": ("null or a number", lambda v: v is None or _is_number(v)),
+    "status": ("one of " + ", ".join(_STATUSES), lambda v: v in _STATUSES),
+}
 
 
 class ConfigError(ValueError):
@@ -204,17 +215,8 @@ def _grid_points(cfg: GridConfig, family: str):
 def evaluate_point(family: str, raw_params: dict, tolerance: float) -> dict:
     """Dual evaluate one grid point and return its report record."""
     params = {k: _decode_value(k, v) for k, v in raw_params.items()}
-    record = {
-        "case_name": family,
-        "params": {k: _encode_value(v) for k, v in params.items()},
-        "closed_form": None,
-        "oracle": None,
-        "abs_err": None,
-        "rel_err": None,
-        "terms_used": None,
-        "node_evals": None,
-        "status": "error",
-    }
+    record = {"case_name": family, "params": {k: _encode_value(v) for k, v in params.items()},
+              **dict.fromkeys(_RECORD_FIELDS), "status": "error"}
     policy = SeriesPolicy.from_env()
     try:
         try:
@@ -280,11 +282,11 @@ def run_verification(cfg: GridConfig) -> dict:
 
 def summarize(report: dict) -> tuple[str, int]:
     """One summary line plus the process exit code the run deserves."""
-    counts = {"pass": 0, "fail": 0, "skipped-domain": 0, "error": 0}
+    counts = dict.fromkeys(_STATUSES, 0)
     for record in report["records"]:
-        counts[record["status"]] = counts.get(record["status"], 0) + 1
-    line = (f"points={len(report['records'])} pass={counts['pass']} fail={counts['fail']} "
-            f"skipped={counts['skipped-domain']} error={counts['error']}")
+        counts[record["status"]] += 1
+    line = " ".join([f"points={len(report['records'])}"] + [
+        f"{status.removesuffix('-domain')}={n}" for status, n in counts.items()])
     code = 0 if counts["fail"] == 0 and counts["error"] == 0 else 4
     return line, code
 
@@ -305,8 +307,8 @@ def write_report(report: dict, path: str, fmt: str = "json"):
 
 
 def load_report(path: str) -> dict:
-    """Read a JSON or CSV report; ValueError unless it has the record layout
-    that report_to_csv reads."""
+    """Read a JSON or CSV report; ValueError unless every record holds
+    case_name, params and each declared field, each in its shape."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     report = json.loads(text) if text.lstrip().startswith("{") else csv_to_report(text)
@@ -314,79 +316,76 @@ def load_report(path: str) -> dict:
     if not isinstance(records, list):
         raise ValueError("report needs a 'records' list")
     for i, record in enumerate(records):
-        if not isinstance(record, dict) or not isinstance(record.get("params"), dict):
-            raise ValueError(f"record {i} is not an object with a 'params' object")
-        missing = [key for key in _RECORD_KEYS if key not in record]
-        if missing:
-            raise ValueError(f"record {i} lacks {', '.join(missing)}")
+        if not isinstance(record, dict):
+            raise ValueError(f"record {i} is not an object")
+        for name, shape in {"case_name": "text", "params": "object", **_RECORD_FIELDS}.items():
+            what, fits = _SHAPES[shape]
+            if name not in record:
+                raise ValueError(f"record {i} lacks {name}")
+            if not fits(record[name]):
+                raise ValueError(f"record {i}: {name} must be {what}, not {record[name]!r}")
     return report
 
 
-def _param_columns(records: list) -> list[str]:
-    names = set()
-    for record in records:
-        names.update(record["params"])
-    return sorted(names)
+def _columns(name: str, shape: str) -> tuple:
+    return (f"{name}_re", f"{name}_im") if shape == "pair" else (name,)
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    return json.dumps(value)
+_VALUE_COLUMNS = [column for name, shape in _RECORD_FIELDS.items()
+                  for column in _columns(name, shape)]
+
+
+def _cells(record: dict) -> dict:
+    """The record's CSV cells by column: case_name and status as text, every
+    other value as JSON, and no cell (an empty one) for a null."""
+    cells = {name: json.dumps(value) for name, value in record["params"].items()
+             if value is not None}
+    cells["case_name"] = record["case_name"]
+    for name, shape in _RECORD_FIELDS.items():
+        value = record[name]
+        if shape == "status":
+            cells[name] = value
+        elif value is not None:
+            cells.update(zip(_columns(name, shape),
+                             map(json.dumps, value if shape == "pair" else [value])))
+    return cells
+
+
+def _record(row: dict, params: list) -> dict:
+    """The record whose cells _cells writes as row."""
+    record = {"case_name": row["case_name"],
+              "params": {name: json.loads(row[name]) for name in params if row[name] != ""}}
+    for name, shape in _RECORD_FIELDS.items():
+        values = [row[column] for column in _columns(name, shape)]
+        if shape != "status":
+            values = [None if cell == "" else json.loads(cell) for cell in values]
+        record[name] = values if shape == "pair" and values[0] is not None else values[0]
+    return record
 
 
 def report_to_csv(report: dict) -> str:
-    """Fixed-column CSV: case_name, sorted param columns, then the value block."""
+    """Fixed-column CSV: case_name, sorted param columns, then the value columns."""
     records = report["records"]
-    params = _param_columns(records)
+    params = sorted({name for record in records for name in record["params"]})
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["case_name"] + params + _FIXED_COLUMNS_TAIL)
-    for record in records:
-        row = [record["case_name"]]
-        row += [_cell(record["params"].get(name)) for name in params]
-        closed = record["closed_form"]
-        oracle = record["oracle"]
-        row += [
-            _cell(closed[0] if closed else None), _cell(closed[1] if closed else None),
-            _cell(oracle[0] if oracle else None), _cell(oracle[1] if oracle else None),
-            _cell(record["abs_err"]), _cell(record["rel_err"]),
-            _cell(record["terms_used"]), _cell(record["node_evals"]),
-            record["status"],
-        ]
-        writer.writerow(row)
+    writer = csv.DictWriter(buf, ["case_name", *params, *_VALUE_COLUMNS], lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(map(_cells, records))
     return buf.getvalue()
 
 
 def csv_to_report(text: str) -> dict:
     """Rebuild the record list from CSV output (meta is not carried by CSV)."""
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows:
-        raise ValueError("empty CSV report")
-    header = rows[0]
-    if len(header) < 1 + len(_FIXED_COLUMNS_TAIL) or header[0] != "case_name":
-        raise ValueError("unrecognized CSV report header")
-    params = header[1:len(header) - len(_FIXED_COLUMNS_TAIL)]
-    records = []
-    for row in rows[1:]:
-        tail = row[len(params) + 1:]
-        pvals = {}
-        for name, cell in zip(params, row[1:len(params) + 1]):
-            if cell != "":
-                pvals[name] = json.loads(cell)
-        def num(cell):
-            return None if cell == "" else json.loads(cell)
-        closed_re, closed_im, oracle_re, oracle_im = (num(c) for c in tail[0:4])
-        records.append({
-            "case_name": row[0],
-            "params": pvals,
-            "closed_form": None if closed_re is None else [closed_re, closed_im],
-            "oracle": None if oracle_re is None else [oracle_re, oracle_im],
-            "abs_err": num(tail[4]),
-            "rel_err": num(tail[5]),
-            "terms_used": num(tail[6]),
-            "node_evals": num(tail[7]),
-            "status": tail[8],
-        })
-    return {"meta": {}, "records": records}
+    reader = csv.DictReader(io.StringIO(text))  # blank lines are skipped
+    try:
+        header, rows = reader.fieldnames or [], list(reader)
+    except csv.Error as exc:
+        raise ValueError(f"CSV parse error: {exc}") from exc
+    params = header[1:len(header) - len(_VALUE_COLUMNS)]
+    if header[:1] != ["case_name"] or header[1 + len(params):] != _VALUE_COLUMNS:
+        raise ValueError("a report must be a JSON object or a CSV with the record header")
+    for i, row in enumerate(rows):
+        if None in row or None in row.values():
+            raise ValueError(f"record {i}: its CSV row does not have the header's "
+                             f"{len(header)} cells")
+    return {"meta": {}, "records": [_record(row, params) for row in rows]}

@@ -206,6 +206,25 @@ class TestReportFormats:
         rebuilt = csv_to_report(report_to_csv(report))
         assert rebuilt["records"] == report["records"]
 
+    # skipped-domain and error records hold nulls where the values go
+    def test_csv_round_trip_of_records_without_values(self):
+        report = run_verification(GridConfig.from_dict({
+            "cases": ["theorem1", "gen-humbert"],
+            "grids": {"theorem1": {"x2": [1.5]}, "gen-humbert": {"a": [1e300]}}}))
+        assert {r["status"] for r in report["records"]} == {"skipped-domain", "error"}
+        assert all(r["closed_form"] is None and r["oracle"] is None for r in report["records"])
+        text = report_to_csv(report)
+        assert csv_to_report(text)["records"] == report["records"]
+        assert text.splitlines()[0].split(",") == [
+            "case_name", "a", "alpha", "alpha1", "alpha2", "b", "beta", "delta", "lam", "omega",
+            "p", "r", "s", "t", "x", "x1", "x2",
+            "closed_form_re", "closed_form_im", "oracle_re", "oracle_im",
+            "abs_err", "rel_err", "terms_used", "node_evals", "status"]
+
+    def test_csv_trailing_blank_line_reads(self):
+        report = run_verification(GridConfig.from_dict(small_config()))
+        assert csv_to_report(report_to_csv(report) + "\n")["records"] == report["records"]
+
     def test_empty_report_is_header_only(self):
         text = report_to_csv({"meta": {}, "records": []})
         lines = text.splitlines()
@@ -465,6 +484,41 @@ class TestCli:
         assert main(["report", str(path), "--format", fmt, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("report error: ")
         assert not out.exists()
+
+    # a record field not of its declared shape, a CSV row whose cell count is
+    # not its header's, or a file that is no report: exit 1, never a traceback
+    @pytest.mark.parametrize("field, value", [
+        ("closed_form", 1.5), ("closed_form", [1.0]), ("oracle", ["1", 0.0]),
+        ("abs_err", [1e-16]), ("status", "maybe")], ids=str)
+    def test_report_of_a_malformed_record(self, tmp_path, capsys, field, value):
+        report = run_verification(GridConfig.from_dict(small_config()))
+        report["records"][1][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(report))
+        assert main(["report", str(path), "--format", "csv"]) == 1
+        assert capsys.readouterr().err.startswith(f"report error: record 1: {field} must be ")
+
+    @pytest.mark.parametrize("mangle", [lambda row: row.rsplit(",", 3)[0],
+                                        lambda row: row + ",1"], ids=["short", "long"])
+    def test_report_of_a_csv_row_unlike_its_header(self, tmp_path, capsys, mangle):
+        rows = report_to_csv(run_verification(GridConfig.from_dict(small_config()))).splitlines()
+        rows[2] = mangle(rows[2])
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert main(["report", str(path), "--format", "json"]) == 1
+        assert capsys.readouterr().err == (
+            "report error: record 1: its CSV row does not have the header's 18 cells\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "a report must be a JSON object or a CSV with the record header"),
+        ("case_name\n" + "x" * 200_000 + "\n", "CSV parse error: field larger than"),
+        ('{"records": ' + "[" * 100_000 + "]" * 100_000 + "}", "maximum recursion depth"),
+    ], ids=["json-array", "huge-cell", "deep-json"])
+    def test_report_of_a_file_that_is_no_report(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad"
+        path.write_text(text)
+        assert main(["report", str(path), "--format", "csv"]) == 1
+        assert capsys.readouterr().err.startswith(f"report error: {message}")
 
     def test_full_default_grid_passes(self, tmp_path):
         out = tmp_path / "full.json"
