@@ -12,7 +12,8 @@ every level up to one past min_levels, at both endpoints, in a single call
 Each call's node layout is cached, so the call takes a few array operations
 and weights its values at once; each level reached adds two slice sums.
 The Mittag-Leffler factor of the Euler-type integrand sums its series over
-all nodes of a call at once, a block of terms per step.
+all nodes of a call at once: complex coefficients as Python scalars, times
+one real block of the powers of the nodes' real xi.
 
 Endpoint accuracy: the transform places abscissae exponentially close to
 the endpoints, far below the resolution of the abscissa itself.  Integrands
@@ -171,7 +172,7 @@ def _integrate_vec(f, a: float, b: float, policy: QuadraturePolicy) -> Quadratur
         l1 = l1 + wbase[part] @ absolute[part]
         value = 2.0 ** (-level) * half * trapezoid
         if value_prev is not None:
-            err = abs(value - value_prev)
+            err = float(abs(value - value_prev))
             if (level >= policy.min_levels
                     and err <= policy.target_abs_tol * 2.0 ** (-level) * half * l1):
                 return QuadratureResult(complex(value), err, evaluations)
@@ -223,67 +224,59 @@ def tanh_sinh_integrate(f: Callable, a: float, b: float,
 # Node-level Mittag-Leffler values
 # ---------------------------------------------------------------------------
 
-# The node Mittag-Leffler series: terms n < _ML_TERMS, summed _ML_BLOCK at a time.
+# The node Mittag-Leffler series: terms n < _ML_TERMS.
 _ML_TERMS = 2000
-_ML_BLOCK = 16
 
 
-def _ml_values(lam: float, w: np.ndarray) -> np.ndarray:
-    """E_lam at a 1-d array of arguments; elementary forms for lam in {0, 1, 2}.
+def _ml_values(lam: float, p: complex, xi: np.ndarray) -> np.ndarray:
+    """E_lam(p xi) at a 1-d array of real xi; elementary forms for lam in {0, 1, 2}.
 
-    The series is summed _ML_BLOCK terms at a time.  The powers of w fill
-    the block row by row, the partial sums are a cumsum down the block, and
-    the term peaks and the running scale are block reductions, so every
-    value is the same floating-point operation as in a term-by-term loop
-    (np.cumprod is not: its accumulate loop rounds complex products
-    differently).  The sum stops at the first n whose largest term
-    |w^n| / Gamma(lam n + 1) is at most 1e-17 of the largest partial sum so
-    far, and raises if a term before that overflows.  It also raises if a
-    node's sum of |terms|, E_lam(|w|), passes CANCELLATION_LIMIT times its
-    |value|; that is summed only where the fsum of the largest terms,
-    E_lam(max|w|), does not rule it out.  Later terms are discarded.
+    With m the xi of largest |xi|, node i's term n is e_n (xi_i / m)^n, where
+    e_n = (p m)^n / Gamma(lam n + 1), a complex scalar, is the term of the node
+    at m.  The e_n run to the first n with |e_n| at most 1e-17 of that node's
+    largest partial sum so far (or of 1), raising if one before it overflows;
+    the real block of (xi / m)^n cannot.  Reducing the rows Re e_n, Im e_n and
+    |e_n| against it over an axis that is not the last adds row after row in
+    increasing n, as a term-by-term loop does (matmul and einsum do not).  That
+    gives each node's value and sum of |terms|, which raises past
+    CANCELLATION_LIMIT times |value|.
     """
     if lam == 0.0:
-        return 1.0 / (1.0 - w)
+        return 1.0 / (1.0 - p * xi)
     if lam == 1.0:
-        return np.exp(w)
+        return np.exp(p * xi)
     if lam == 2.0:
-        return np.cosh(np.sqrt(w.astype(complex)))
-    total = np.ones_like(w, dtype=complex)
-    power = np.ones_like(w, dtype=complex)
-    scale = 1.0
-    peak_list = [1.0]
-    # Overflow past the stopping term is expected and discarded.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(1, _ML_TERMS, _ML_BLOCK):
-            ns = range(first, min(first + _ML_BLOCK, _ML_TERMS))
-            coeff = np.array([math.exp(-log_gamma(lam * n + 1.0)) for n in ns])
-            powers = np.empty((len(ns), len(w)), dtype=complex)
-            for k in range(len(ns)):
-                power = np.multiply(power, w, out=powers[k])
-            totals = np.cumsum(np.vstack([total[None], powers * coeff[:, None]]), axis=0)[1:]
-            peaks = np.abs(powers).max(axis=1) * coeff
-            scales = np.maximum.accumulate(np.append(scale, np.abs(totals).max(axis=1)))[1:]
-            done = ~np.isfinite(peaks) | (peaks <= 1e-17 * scales)
-            if done.any():
-                k = int(np.argmax(done))
-                if not math.isfinite(peaks[k]):
-                    raise EvaluationError(f"node Mittag-Leffler series overflowed at n={ns[k]}")
-                values = totals[k]
-                bound = math.fsum(peak_list + peaks[:k + 1].tolist())
-                near = np.flatnonzero(CANCELLATION_LIMIT * np.abs(values) < bound)
-                if near.size:
-                    abs_sums = _ml_values(lam, np.abs(w[near])).real
-                    over = abs_sums > CANCELLATION_LIMIT * np.abs(values[near])
-                    if over.any():
-                        i = int(np.argmax(over))
-                        raise CancellationError(f"node Mittag-Leffler sum of |terms| "
-                                                f"{abs_sums[i]:.3e} cancels to "
-                                                f"{abs(values[near[i]]):.3e}")
-                return values
-            peak_list += peaks.tolist()
-            total, scale = totals[-1], scales[-1]
-    raise EvaluationError("Mittag-Leffler node series did not converge")
+        return np.cosh(np.sqrt(complex(p) * xi))
+    top = float(xi[np.argmax(np.abs(xi))])
+    z = complex(p) * top
+    power = partial = peak = 1.0
+    rows = [(1.0, 0.0, 1.0)]
+    for n in range(1, _ML_TERMS):
+        power *= z
+        term = power * math.exp(-log_gamma(lam * n + 1.0))
+        size = math.hypot(term.real, term.imag)  # abs() raises where this is inf
+        if not math.isfinite(size):
+            raise EvaluationError(f"node Mittag-Leffler series overflowed at n={n}")
+        rows.append((term.real, term.imag, size))
+        partial += term
+        peak = max(peak, math.hypot(partial.real, partial.imag))
+        if size <= 1e-17 * peak:
+            break
+    else:
+        raise EvaluationError("Mittag-Leffler node series did not converge")
+    block = np.ones((len(rows), len(xi)))
+    block[1:] = xi / top if top else xi  # xi = 0 everywhere leaves z = 0 and u finite
+    np.cumprod(block, axis=0, out=block)
+    terms = np.array(rows).T[:, :, None] * block
+    np.abs(terms[2], out=terms[2])
+    re, im, abs_sums = np.add.reduce(terms, axis=1)
+    values = re + 1j * im
+    over = np.flatnonzero(abs_sums > CANCELLATION_LIMIT * np.abs(values))
+    if over.size:
+        i = over[0]
+        raise CancellationError(f"node Mittag-Leffler sum of |terms| {abs_sums[i]:.3e} "
+                                f"cancels to {abs(values[i]):.3e}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +309,7 @@ def evaluate_integral_direct(spec, qpolicy: QuadraturePolicy | None = None) -> Q
         if gamma != 0.0:
             core = core * chi ** gamma
         if p != 0.0:
-            core = core * _ml_values(lam, p * family.xi(da, db, chi))
+            core = core * _ml_values(lam, p, family.xi(da, db, chi))
         return core
 
     logs = log_gamma(spec.alpha), log_gamma(spec.beta), log_gamma(spec.alpha + spec.beta)
@@ -329,4 +322,5 @@ def evaluate_integral_direct(spec, qpolicy: QuadraturePolicy | None = None) -> Q
     log_err = 1.5e-15 * sum(max(1.0, abs(lg)) for lg in logs) + np.finfo(float).eps * (
         abs(logs[0] + logs[1]) + abs(log_beta))
     value = raw.value / norm
-    return QuadratureResult(value, raw.err_estimate / norm + abs(value) * log_err, raw.evaluations)
+    err = raw.err_estimate / norm + abs(value) * log_err
+    return QuadratureResult(value, float(err), raw.evaluations)

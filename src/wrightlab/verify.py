@@ -308,7 +308,8 @@ def write_report(report: dict, path: str, fmt: str = "json"):
 
 def load_report(path: str) -> dict:
     """Read a JSON or CSV report; ValueError unless every record holds
-    case_name, params and each declared field, each in its shape."""
+    case_name, params and each declared field, each in its shape, and no
+    params key is also a report column (its CSV would not read back)."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     report = json.loads(text) if text.lstrip().startswith("{") else csv_to_report(text)
@@ -324,6 +325,9 @@ def load_report(path: str) -> dict:
                 raise ValueError(f"record {i} lacks {name}")
             if not fits(record[name]):
                 raise ValueError(f"record {i}: {name} must be {what}, not {record[name]!r}")
+        if clash := sorted(record["params"].keys() & {"case_name", *_VALUE_COLUMNS}):
+            raise ValueError(f"record {i}: params must be keyed by parameter names, "
+                             f"not by the report column {clash[0]!r}")
     return report
 
 
@@ -384,6 +388,8 @@ def csv_to_report(text: str) -> dict:
     params = header[1:len(header) - len(_VALUE_COLUMNS)]
     if header[:1] != ["case_name"] or header[1 + len(params):] != _VALUE_COLUMNS:
         raise ValueError("a report must be a JSON object or a CSV with the record header")
+    if clash := sorted(set(params) & {"case_name", *_VALUE_COLUMNS}):
+        raise ValueError(f"CSV header: a parameter column is named {clash[0]!r}, a report column")
     for i, row in enumerate(rows):
         if None in row or None in row.values():
             raise ValueError(f"record {i}: its CSV row does not have the header's "

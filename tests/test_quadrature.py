@@ -217,10 +217,10 @@ def test_cancelled_node_values_fail_the_direct_integral():
 def test_node_cancellation_is_judged_node_by_node():
     # E_{1/2}(4) is about 2e7, far above the limit times the value 1 at the
     # first node, but no term is negative at any node
-    w = np.array([1e-12, 4.0])
-    assert np.allclose(_ml_values(0.5, w), _ml_reference(0.5, w), rtol=1e-15)
+    xi = np.array([1e-12, 4.0])
+    assert np.allclose(_ml_values(0.5, 1.0, xi), _ml_reference(0.5, 1.0, xi), rtol=1e-15)
     with pytest.raises(CancellationError, match="node Mittag-Leffler"):
-        _ml_values(0.5, -w)
+        _ml_values(0.5, -1.0, xi)
     # T1 with positive p sums positive terms at every node
     spec = t1_spec(1.2, 0.8, 0.5, 0.9, 0.3, -0.25, 0.5, 20.0)
     closed = closed_form_theorem1(1.2, 0.8, 0.5, 0.9, 0.3, -0.25, 0.5, 20.0).value
@@ -233,29 +233,36 @@ def test_non_finite_node_names_the_bad_end():
         tanh_sinh_integrate(lambda x, da, db: np.inf if db < 1e-3 else 1.0, 0.0, 1.0)
 
 
-def _ml_reference(lam, w):
-    """The node series term by term: the loop _ml_values sums in blocks."""
-    total = np.ones_like(w, dtype=complex)
-    power = np.ones_like(w, dtype=complex)
-    abs_total = np.ones(len(w))  # each node's sum of |terms|
-    scale = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, 2000):
-            power = power * w
-            coeff = math.exp(-log_gamma(lam * n + 1.0))
-            total = total + power * coeff
-            abs_total = abs_total + np.abs(power) * coeff
-            peak = np.max(np.abs(power)) * coeff
-            if not math.isfinite(peak):
-                raise EvaluationError(f"node Mittag-Leffler series overflowed at n={n}")
-            scale = max(scale, float(np.max(np.abs(total))))
-            if peak <= 1e-17 * scale:
-                cancelled = np.flatnonzero(abs_total > CANCELLATION_LIMIT * np.abs(total))
-                if cancelled.size:
-                    j = cancelled[0]
-                    raise CancellationError(f"node Mittag-Leffler sum of |terms| "
-                                            f"{abs_total[j]:.3e} cancels to {abs(total[j]):.3e}")
-                return total
+def _ml_reference(lam, p, xi):
+    """E_lam(p xi) term by term: the loop _ml_values sums as one block.  With m
+    the xi of largest |xi|, node i's term n is e_n (xi_i / m)^n, where e_n =
+    (p m)^n / Gamma(lam n + 1); the sum stops at the first n with |e_n| at most
+    1e-17 of the largest partial sum at m so far, or of 1."""
+    i = np.argmax(np.abs(xi))
+    top = float(xi[i])
+    u = xi / top if top else xi
+    z = complex(p) * top
+    power, node_power, peak = 1.0, np.ones(len(xi)), 1.0
+    re, im, abs_total = np.ones(len(xi)), np.zeros(len(xi)), np.ones(len(xi))
+    for n in range(1, 2000):
+        power = power * z
+        term = power * math.exp(-log_gamma(lam * n + 1.0))
+        size = math.hypot(term.real, term.imag)
+        if not math.isfinite(size):
+            raise EvaluationError(f"node Mittag-Leffler series overflowed at n={n}")
+        node_power = node_power * u
+        re = re + term.real * node_power
+        im = im + term.imag * node_power
+        abs_total = abs_total + size * np.abs(node_power)
+        peak = max(peak, math.hypot(re[i], im[i]))
+        if size <= 1e-17 * peak:
+            total = re + 1j * im
+            cancelled = np.flatnonzero(abs_total > CANCELLATION_LIMIT * np.abs(total))
+            if cancelled.size:
+                j = cancelled[0]
+                raise CancellationError(f"node Mittag-Leffler sum of |terms| "
+                                        f"{abs_total[j]:.3e} cancels to {abs(total[j]):.3e}")
+            return total
     raise EvaluationError("Mittag-Leffler node series did not converge")
 
 
@@ -264,18 +271,78 @@ def test_ml_values_match_the_term_by_term_reference():
     outcomes = set()
     for lam in (0.3, 0.5, 0.8, 1.5, 2.5):
         for size in (1, 2, 16, 17, *rng.integers(3, 193, 4), 193):
-            radius = rng.uniform(0.0, 8.0) * np.sqrt(rng.uniform(0.0, 1.0, size))
-            w = radius * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size))
+            p = rng.uniform(0.0, 32.0) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0))
+            xi = rng.uniform(-0.1, 0.25, size)
             try:
-                expected = _ml_reference(lam, w)
+                expected = _ml_reference(lam, p, xi)
             except (EvaluationError, CancellationError) as failure:
                 with pytest.raises(type(failure), match=f"^{re.escape(str(failure))}$"):
-                    _ml_values(lam, w)
+                    _ml_values(lam, p, xi)
                 outcomes.add("overflow" if isinstance(failure, EvaluationError) else "cancellation")
             else:
-                assert (_ml_values(lam, w) == expected).all()
+                assert (_ml_values(lam, p, xi) == expected).all()
                 outcomes.add("value")
     assert outcomes == {"overflow", "cancellation", "value"}
+
+
+def _term_sizes(lam, z):
+    """|z|^n / Gamma(lam n + 1) up to the first at most 1e-17; the node sum at |z|
+    stops there, or earlier where its partial sums pass 1."""
+    sizes = [1.0]
+    while sizes[-1] > 1e-17:
+        n = len(sizes)
+        sizes.append(math.exp(n * math.log(abs(z)) - math.lgamma(lam * n + 1.0)))
+    return sizes
+
+
+def _ml_mp(mp, lam, rgammas, terms, w):
+    """sum_n w^n / Gamma(lam n + 1) at 30 digits, over twice the node sum's terms;
+    rgammas holds the 1 / Gamma(lam n + 1) computed so far."""
+    with mp.workdps(30):
+        rgammas.extend(mp.rgamma(lam * n + 1) for n in range(len(rgammas), 2 * terms))
+        total, power = mp.mpc(0), mp.mpc(1)
+        for rgamma in rgammas[:2 * terms]:
+            total += power * rgamma
+            power *= w
+        return complex(total)
+
+
+def test_ml_values_match_independent_references():
+    # each node value against a 30-digit sum of z^n / Gamma(lam n + 1), within
+    # the rounding of its N terms; a raise must be one the exact series calls for
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(23)
+    eps = np.finfo(float).eps
+    checked = 0
+    for lam in (0.3, 0.5, 0.8, 1.5, 2.5):
+        rgammas = []
+        for modulus in (0.5, 4.0):
+            for angle in (0.0, 0.5 * math.pi, math.pi):
+                p = modulus * complex(math.cos(angle), math.sin(angle))
+                xi = rng.uniform(0.0, 1.0, 4)
+                sizes = _term_sizes(lam, modulus * xi.max())
+                terms = len(sizes)
+                try:
+                    values = _ml_values(lam, p, xi)
+                except CancellationError:
+                    exact = [abs(_ml_mp(mp, lam, rgammas, terms, p * x)) for x in xi]
+                    assert any(math.fsum(sizes) > CANCELLATION_LIMIT * e for e in exact)
+                    continue
+                except EvaluationError:  # z^n leaves the doubles before its term is small
+                    assert (terms - 1) * math.log(modulus * xi.max()) > math.log(sys.float_info.max)
+                    continue
+                for x, value in zip(xi, values):
+                    abs_sum = math.fsum(size * (x / xi.max()) ** n for n, size in enumerate(sizes))
+                    exact = _ml_mp(mp, lam, rgammas, terms, p * x)
+                    assert abs(value - exact) <= 8 * terms * eps * abs_sum + 1e-17
+                    checked += 1
+    assert checked >= 104
+    # E_{1/2}(-x) = exp(x^2) erfc(x), whose sum of |terms| is E_{1/2}(x) = exp(x^2) (1 + erf(x))
+    xs = np.linspace(0.0, 3.0, 31)
+    terms = len(_term_sizes(0.5, 3.0))
+    for x, value in zip(xs, _ml_values(0.5, -1.0, xs)):
+        abs_sum = math.exp(x * x) * (1.0 + math.erf(x))
+        assert abs(value - math.exp(x * x) * math.erfc(x)) <= 8 * terms * eps * abs_sum + 1e-17
 
 
 def _unless_speculative(value, integrand):

@@ -141,6 +141,7 @@ def test_seeded_euler_point_matches_reference(monkeypatch, family):
     assert isinstance(new, QuadratureResult)
     assert new == old
     assert type(new.evaluations) is int  # the report writes it as JSON
+    assert type(new.err_estimate) is float  # annotated float, and so not np.float64
 
 
 def _speculative(value, integrand):

@@ -485,11 +485,13 @@ class TestCli:
         assert capsys.readouterr().err.startswith("report error: ")
         assert not out.exists()
 
-    # a record field not of its declared shape, a CSV row whose cell count is
-    # not its header's, or a file that is no report: exit 1, never a traceback
+    # a record field not of its declared shape (or a params key that is also a
+    # column, whose CSV would not read back), a CSV row whose cell count is not
+    # its header's, or a file that is no report: exit 1, never a traceback
     @pytest.mark.parametrize("field, value", [
         ("closed_form", 1.5), ("closed_form", [1.0]), ("oracle", ["1", 0.0]),
-        ("abs_err", [1e-16]), ("status", "maybe")], ids=str)
+        ("abs_err", [1e-16]), ("status", "maybe"), ("params", {"x1": 0.3, "status": 1.0})],
+        ids=str)
     def test_report_of_a_malformed_record(self, tmp_path, capsys, field, value):
         report = run_verification(GridConfig.from_dict(small_config()))
         report["records"][1][field] = value
@@ -513,7 +515,10 @@ class TestCli:
         ("[1, 2]", "a report must be a JSON object or a CSV with the record header"),
         ("case_name\n" + "x" * 200_000 + "\n", "CSV parse error: field larger than"),
         ('{"records": ' + "[" * 100_000 + "]" * 100_000 + "}", "maximum recursion depth"),
-    ], ids=["json-array", "huge-cell", "deep-json"])
+        ("case_name,status,closed_form_re,closed_form_im,oracle_re,oracle_im,abs_err,rel_err,"
+         "terms_used,node_evals,status\n",
+         "CSV header: a parameter column is named 'status', a report column"),
+    ], ids=["json-array", "huge-cell", "deep-json", "param-named-status"])
     def test_report_of_a_file_that_is_no_report(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad"
         path.write_text(text)
