@@ -58,6 +58,10 @@ def _parse_value(text: str):
     except json.JSONDecodeError:
         pass
     try:
+        return float(text)  # inf and nan, before i reads as j
+    except ValueError:
+        pass
+    try:
         return complex(text.replace("i", "j"))
     except ValueError:
         return text

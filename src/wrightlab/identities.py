@@ -296,6 +296,10 @@ class EulerIntegralSpec:
     family: object
 
     def validate(self):
+        for name in ("alpha", "beta", "gamma", "a", "b", "lam", "p"):
+            value = getattr(self, name)
+            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+                raise DomainError(f"{name} must be finite, got {value!r}")
         if not self.alpha > 0.0 or not self.beta > 0.0:
             raise DomainError("need alpha > 0 and beta > 0")
         if not self.lam >= 0.0:

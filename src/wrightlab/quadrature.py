@@ -12,8 +12,8 @@ every level up to one past min_levels, at both endpoints, in a single call
 Each call's node layout is cached, so the call takes a few array operations
 and weights its values at once; each level reached adds two slice sums.
 The Mittag-Leffler factor of the Euler-type integrand sums its series over
-all nodes of a call at once: complex coefficients as Python scalars, times
-one real block of the powers of the nodes' real xi.
+all nodes of a call at once (complex scalars times one real block of powers
+of the nodes' xi), and its values are kept by the exact bits of lam, p, xi.
 
 Endpoint accuracy: the transform places abscissae exponentially close to
 the endpoints, far below the resolution of the abscissa itself.  Integrands
@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -226,6 +227,7 @@ def tanh_sinh_integrate(f: Callable, a: float, b: float,
 
 # The node Mittag-Leffler series: terms n < _ML_TERMS.
 _ML_TERMS = 2000
+_ML_KEPT, _ML_KEPT_NODES = 128, 400  # arrays, nodes (193 in a default first call): 1.2 MB
 
 
 def _ml_values(lam: float, p: complex, xi: np.ndarray) -> np.ndarray:
@@ -235,11 +237,11 @@ def _ml_values(lam: float, p: complex, xi: np.ndarray) -> np.ndarray:
     e_n = (p m)^n / Gamma(lam n + 1), a complex scalar, is the term of the node
     at m.  The e_n run to the first n with |e_n| at most 1e-17 of that node's
     largest partial sum so far (or of 1), raising if one before it overflows;
-    the real block of (xi / m)^n cannot.  Reducing the rows Re e_n, Im e_n and
-    |e_n| against it over an axis that is not the last adds row after row in
-    increasing n, as a term-by-term loop does (matmul and einsum do not).  That
-    gives each node's value and sum of |terms|, which raises past
-    CANCELLATION_LIMIT times |value|.
+    the real block of (xi / m)^n, built row by row, cannot.  Reducing the rows
+    Re e_n, Im e_n and |e_n| against it over an axis that is not the last adds
+    row after row in increasing n, as a term-by-term loop does (matmul and
+    einsum do not).  That gives each node's value and sum of |terms|, which
+    raises past CANCELLATION_LIMIT times |value|.
     """
     if lam == 0.0:
         return 1.0 / (1.0 - p * xi)
@@ -253,7 +255,7 @@ def _ml_values(lam: float, p: complex, xi: np.ndarray) -> np.ndarray:
     rows = [(1.0, 0.0, 1.0)]
     for n in range(1, _ML_TERMS):
         power *= z
-        term = power * math.exp(-log_gamma(lam * n + 1.0))
+        term = power * math.exp(-math.lgamma(lam * n + 1.0))  # lam n + 1 >= 1
         size = math.hypot(term.real, term.imag)  # abs() raises where this is inf
         if not math.isfinite(size):
             raise EvaluationError(f"node Mittag-Leffler series overflowed at n={n}")
@@ -264,9 +266,10 @@ def _ml_values(lam: float, p: complex, xi: np.ndarray) -> np.ndarray:
             break
     else:
         raise EvaluationError("Mittag-Leffler node series did not converge")
+    u = xi / top if top else xi  # xi = 0 everywhere leaves z = 0 and u finite
     block = np.ones((len(rows), len(xi)))
-    block[1:] = xi / top if top else xi  # xi = 0 everywhere leaves z = 0 and u finite
-    np.cumprod(block, axis=0, out=block)
+    for n in range(1, len(rows)):
+        np.multiply(block[n - 1], u, out=block[n])
     terms = np.array(rows).T[:, :, None] * block
     np.abs(terms[2], out=terms[2])
     re, im, abs_sums = np.add.reduce(terms, axis=1)
@@ -276,6 +279,15 @@ def _ml_values(lam: float, p: complex, xi: np.ndarray) -> np.ndarray:
         i = over[0]
         raise CancellationError(f"node Mittag-Leffler sum of |terms| {abs_sums[i]:.3e} "
                                 f"cancels to {abs(values[i]):.3e}")
+    return values
+
+
+@functools.lru_cache(maxsize=_ML_KEPT)
+def _kept_ml_values(key: bytes) -> np.ndarray:
+    """Read-only _ml_values at key = lam, Re p, Im p as doubles, then xi's bytes."""
+    lam, re, im = struct.unpack_from("3d", key)
+    values = _ml_values(lam, complex(re, im), np.frombuffer(key, offset=24))
+    values.setflags(write=False)
     return values
 
 
@@ -302,6 +314,7 @@ def evaluate_integral_direct(spec, qpolicy: QuadraturePolicy | None = None) -> Q
     p = complex(spec.p)
     width = spec.b - spec.a
     gamma = spec.gamma
+    head = struct.pack("3d", lam, p.real, p.imag)  # bits: -0.0 == 0.0 as floats
 
     def f(x, da, db):
         chi = family.chi(x, da, db, width)
@@ -309,7 +322,9 @@ def evaluate_integral_direct(spec, qpolicy: QuadraturePolicy | None = None) -> Q
         if gamma != 0.0:
             core = core * chi ** gamma
         if p != 0.0:
-            core = core * _ml_values(lam, p, family.xi(da, db, chi))
+            xi = family.xi(da, db, chi)
+            core = core * (_kept_ml_values(head + xi.tobytes()) if len(xi) <= _ML_KEPT_NODES
+                           else _ml_values(lam, p, xi))
         return core
 
     logs = log_gamma(spec.alpha), log_gamma(spec.beta), log_gamma(spec.alpha + spec.beta)

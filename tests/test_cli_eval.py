@@ -7,12 +7,13 @@ whose wording is not pinned.
 """
 
 import json
+import math
 import pathlib
 import shlex
 
 import pytest
 
-from wrightlab.cli import EVAL_FUNCTIONS, main
+from wrightlab.cli import EVAL_FUNCTIONS, _parse_value, main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "tests" / "data" / "eval_golden.json").read_text(encoding="utf-8"))
@@ -71,10 +72,13 @@ def test_readme_eval_example(args, expected, capsys):
 
 # A NaN series argument used to take the z = 0 branch and print the z = 0
 # value with exit 0; a NaN weight exited 1 on a float-to-integer conversion.
+# An Euler-type spec refuses a NaN p by name (it exited 3 on its first term).
 NAN_ARGUMENT = [
     ["mittag_leffler", "lam=1", "z=NaN"],
     ["pfq", "num=[0.5]", "den=[1.5]", "z=NaN"],
     ["wright_psi", "upper=[[1,1]]", "lower=[[1,0.5]]", "z=NaN"],
+]
+NAN_P = [
     ["theorem1", "alpha=1.2", "beta=0.8", "alpha1=0.5", "alpha2=0.9", "x1=0.3", "x2=-0.25",
      "lam=0.5", "p=NaN"],
     ["theorem2", "alpha=1.5", "beta=1.1", "alpha1=0.4", "alpha2=0.6", "x1=0.2", "x2=0.3",
@@ -103,9 +107,36 @@ NAN_WEIGHT = [
 @pytest.mark.parametrize(
     "args, code, message",
     [(a, 3, "convergence error: term 1 is non-finite\n") for a in NAN_ARGUMENT]
+    + [(a, 2, "domain error: p must be finite") for a in NAN_P]
     + [(a, 2, "domain error: ") for a in NAN_WEIGHT],
-    ids=[" ".join(a) for a in NAN_ARGUMENT + NAN_WEIGHT])
+    ids=[" ".join(a) for a in NAN_ARGUMENT + NAN_P + NAN_WEIGHT])
 def test_nan_is_refused(args, code, message, capsys):
     got, out, err = run_eval(args, capsys)
     assert (got, out) == (code, "")
     assert err.startswith(message)
+
+
+# `inf` read as a string and `nan` as a complex once the i became a j, so
+# these exited 1 on a type error; the spec's check now refuses them by name.
+T1_POINT = ["alpha=1.2", "beta=0.8", "alpha1=0.5", "alpha2=0.9", "x1=0.3", "x2=-0.25"]
+
+
+NON_FINITE = [
+    (["theorem1", *T1_POINT, "lam=inf", "p=0.5"], "lam must be finite, got inf"),
+    (["integral_direct", "family=t1", *T1_POINT, "lam=0.5", "p=nan"],
+     "p must be finite, got (nan+0j)"),
+    (["theorem1", *T1_POINT, "lam=1", "p=-inf"], "p must be finite, got (-inf+0j)"),
+    (["theorem4", "alpha=Infinity", "beta=1", "a=0", "b=1", "nu=0", "mu=0", "lam=1", "p=0.5"],
+     "alpha must be finite, got inf"),
+]
+
+
+@pytest.mark.parametrize("args, message", NON_FINITE, ids=[" ".join(a) for a, _ in NON_FINITE])
+def test_non_finite_spellings_reach_the_domain_check(args, message, capsys):
+    assert run_eval(args, capsys) == (2, "", f"domain error: {message}\n")
+
+
+def test_value_spellings():
+    assert _parse_value("inf") == math.inf and _parse_value("-Infinity") == -math.inf
+    assert math.isnan(_parse_value("nan")) and isinstance(_parse_value("nan"), float)
+    assert _parse_value("1+2i") == complex(1, 2) and _parse_value("t1") == "t1"

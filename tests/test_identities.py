@@ -375,6 +375,28 @@ def test_spec_validation_family_consistency():
     spec.validate()
 
 
+_T3_POINT = dict(alpha=1.2, beta=0.8, gamma=0.5, a=-0.5, b=1.0, u=0.2, v=1.0, lam=0.5, p=0.4)
+
+
+@pytest.mark.parametrize("name, value", [
+    *((name, math.inf) for name in ("alpha", "beta", "gamma", "a", "b", "lam", "p")),
+    ("a", -math.inf), ("p", math.nan), ("p", complex(0.3, math.inf)), ("p", complex(math.nan, 0.0)),
+])
+@pytest.mark.parametrize("route", [EulerIntegralSpec.closed_form, evaluate_integral_direct],
+                         ids=["closed_form", "oracle"])
+def test_non_finite_parameters_are_refused_by_name(route, name, value):
+    # inf * 0 in the outer sum's k = 0 column once reached math.floor(nan) in
+    # the reflection sine, and a NaN p overflowed the oracle's node sum at n = 1
+    spec = t3_spec(**{**_T3_POINT, name: value})
+    with pytest.raises(DomainError, match=f"^{name} must be finite, got "):
+        route(spec)
+
+
+def test_theorem1_refuses_an_infinite_lam():
+    with pytest.raises(DomainError, match="^lam must be finite, got inf$"):
+        closed_form_theorem1(1.2, 0.8, 0.5, 0.9, 0.3, -0.25, math.inf, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # The series route of each family, bound from its spec alone
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 import os
 import pathlib
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -25,6 +26,7 @@ from wrightlab import (
     t4_spec,
     tanh_sinh_integrate,
 )
+from wrightlab import quadrature
 from wrightlab.quadrature import _integrate_vec, _level_nodes, _ml_values
 from wrightlab.scalars import log_gamma
 from wrightlab.series import CANCELLATION_LIMIT
@@ -283,6 +285,75 @@ def test_ml_values_match_the_term_by_term_reference():
                 assert (_ml_values(lam, p, xi) == expected).all()
                 outcomes.add("value")
     assert outcomes == {"overflow", "cancellation", "value"}
+
+
+
+def _kept():
+    return quadrature._kept_ml_values.cache_info()
+
+
+def _key(lam, p, xi):
+    return struct.pack("3d", lam, p.real, p.imag) + np.asarray(xi, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0, 1.3])
+def test_node_values_are_kept_across_oracle_calls(lam, monkeypatch):
+    # every lam, the elementary ones too: a repeated integral sums no node
+    # series again, and each kept array equals the uncached sum
+    spec = t1_spec(1.2, 0.8, 0.5, 0.9, 0.3, -0.25, lam, 0.6)
+    sums = []
+    monkeypatch.setattr(quadrature, "_ml_values",
+                        lambda *args: sums.append(args) or _ml_values(*args))
+    quadrature._kept_ml_values.cache_clear()
+    first = evaluate_integral_direct(spec)
+    assert _kept().misses == _kept().currsize == len(sums) >= 1
+    assert evaluate_integral_direct(spec) == first
+    assert (_kept().hits, _kept().misses) == (len(sums), len(sums))
+    for _, p, xi in sums:
+        kept = quadrature._kept_ml_values(_key(lam, p, xi))
+        assert (kept == _ml_values(lam, p, xi.copy())).all()
+        assert not kept.flags.writeable
+        with pytest.raises(ValueError):
+            kept[0] = 0.0
+    assert _kept().hits == 2 * len(sums)
+
+
+def test_node_values_are_kept_by_the_bits_of_p():
+    # -0.0 == 0.0, but the sign of a zero imaginary part can reach the values
+    xi = np.array([0.1, 0.25])
+    quadrature._kept_ml_values.cache_clear()
+    plus, minus = (quadrature._kept_ml_values(_key(1.0, complex(-0.8, im), xi))
+                   for im in (0.0, -0.0))
+    assert (_kept().misses, _kept().currsize) == (2, 2)
+    assert not np.signbit(plus.imag).any() and np.signbit(minus.imag).all()
+    for p in (0.8 + 0j, complex(0.8, -0.0)):
+        evaluate_integral_direct(t1_spec(1.2, 0.8, 0.5, 0.9, 0.3, -0.25, 0.5, p))
+    assert _kept().hits == 0 and _kept().misses == _kept().currsize >= 4
+
+
+@pytest.mark.parametrize("p, xi, error", [
+    (-1.0, [1e-12, 4.0], CancellationError),
+    (-40.0, np.linspace(0.0, 0.25, 9), EvaluationError),
+])
+def test_a_failing_node_sum_is_not_kept(p, xi, error):
+    quadrature._kept_ml_values.cache_clear()
+    messages = set()
+    for _ in range(2):
+        with pytest.raises(error) as failure:
+            quadrature._kept_ml_values(_key(0.5, complex(p), xi))
+        messages.add(str(failure.value))
+    assert len(messages) == 1 and "node Mittag-Leffler" in messages.pop()
+    assert (_kept().misses, _kept().currsize) == (2, 0)
+
+
+@pytest.mark.parametrize("min_levels, kept", [(4, 1), (5, 0)])
+def test_only_short_node_arrays_are_kept(min_levels, kept):
+    # the first call spans levels 0 .. min_levels + 1: 385 nodes at
+    # min_levels = 4 and 769 at 5, past the bound of 400
+    spec = t1_spec(1.2, 0.8, 0.5, 0.9, 0.3, -0.25, 0.5, 0.6)
+    quadrature._kept_ml_values.cache_clear()
+    evaluate_integral_direct(spec, QuadraturePolicy(min_levels=min_levels))
+    assert _kept().currsize == kept
 
 
 def _term_sizes(lam, z):
