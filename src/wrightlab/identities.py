@@ -27,9 +27,10 @@ space as a (terms, rows) array, to 24 terms and then to 48 for the rows
 that have not stopped (_InnerTable); rows the table cannot settle, and
 T4's single value, go through the scalar engine.  The generating
 integrals sum inner rows or, with product factors, _lauricella_sum values
-over G's terms.  A sweep over the weights (alpha_i, x_i) reuses the
-tables, the settled rows of the first two blocks and their binomial
-products (_InnerTable).
+over G's terms, a block of terms at a time (_lauricella_rows), as case
+4.2's 2F2 reduction sums its 2F2 values.  A sweep over the weights
+(alpha_i, x_i) reuses the tables, the settled rows of the first two
+blocks and their binomial products (_InnerTable).
 
 On a general interval the linear-weight family (T3) picks up the factors
 (b-a)^(alpha+beta-1) and (a*u+v)^gamma, and the series argument becomes
@@ -41,7 +42,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -53,14 +54,19 @@ from .scalars import _is_nonpositive_integer, beta_fn
 from .series import (
     BLOCK,
     CANCELLATION_LIMIT,
+    ROWS,
     SeriesPolicy,
     SeriesResult,
     WrightSpec,
     _coefficients,
     _in_blocks,
+    _pfq_rows,
     _poch_power,
     _product,
+    _row_sums,
+    _row_values,
     _running,
+    _stop_window,
     hyper_pfq,
     sum_with_policy,
     wright_psi_normalized,
@@ -282,6 +288,19 @@ class GeneratingFamily(_Family):
         raise DomainError("a generating spec sums by generating_integral_closed_form, given s")
 
 
+# the fields of a dataclass that can hold numbers: all but those declared
+# `object` (a family, a generator)
+_field_names = functools.cache(lambda cls: tuple(
+    entry.name for entry in fields(cls) if entry.type != "object"))
+
+
+def _finite(value) -> bool:
+    """Whether a number, or every number of a (nested) tuple, is finite; others pass."""
+    if isinstance(value, (int, float, complex)):
+        return math.isfinite(value.real) and math.isfinite(value.imag)
+    return not isinstance(value, tuple) or all(map(_finite, value))
+
+
 @dataclass(frozen=True)
 class EulerIntegralSpec:
     """One fully-bound instance of the weighted-beta integral."""
@@ -296,18 +315,21 @@ class EulerIntegralSpec:
     family: object
 
     def validate(self):
-        for name in ("alpha", "beta", "gamma", "a", "b", "lam", "p"):
-            value = getattr(self, name)
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-                raise DomainError(f"{name} must be finite, got {value!r}")
+        if not isinstance(self.family, _Family):
+            raise DomainError(f"unknown family {type(self.family).__name__}")
+        # every numeric field of the spec and of its family, tuples included;
+        # a float, the common case, is checked without the call
+        for owner in self, self.family:
+            for name in _field_names(type(owner)):
+                value = getattr(owner, name)
+                if not (math.isfinite(value) if type(value) is float else _finite(value)):
+                    raise DomainError(f"{name} must be finite, got {value!r}")
         if not self.alpha > 0.0 or not self.beta > 0.0:
             raise DomainError("need alpha > 0 and beta > 0")
         if not self.lam >= 0.0:
             raise DomainError("need lam >= 0")
         if not self.a < self.b:
             raise DomainError("need a < b")
-        if not isinstance(self.family, _Family):
-            raise DomainError(f"unknown family {type(self.family).__name__}")
         self.family.check(self)
         if self.lam == 0.0 and abs(self.p) * self.family.xi_max(self.b - self.a) >= 1.0:
             raise DomainError("lam = 0 requires |p * xi(t)| < 1 on the whole interval")
@@ -413,7 +435,6 @@ class _InnerTable:
         j = self._j[:count - 1, None]
         log_term = np.zeros((len(j) + 1, len(positive)))
         policy = self.policy
-        need = policy.consecutive_small
         # Overflow and invalid values end as a non-finite partial sum, which
         # leaves the row unsettled.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -424,16 +445,14 @@ class _InnerTable:
             term = np.exp(log_term) * self._phase[:len(log_term), None]
             partial = np.cumsum(term, axis=0)
             mag = np.abs(term)
-            small = np.cumsum(mag <= policy.rel_tol * np.abs(partial) + policy.abs_tol, axis=0)
             abs_sum = np.cumsum(mag, axis=0)
-        small[need:] -= small[:-need]  # small terms among the last `need`
-        stop = (small >= need).argmax(axis=0)
+        stop, found = _stop_window(mag.T, np.abs(partial).T, policy)
         index = np.arange(len(positive))
         value = partial[stop, index].astype(complex)
         # A non-finite term anywhere up to the stop leaves the partial sum non-finite.
-        ok = positive & (small[stop, index] >= need) & np.isfinite(value)
+        ok = positive & found & np.isfinite(value)
         ok &= abs_sum[stop, index] <= CANCELLATION_LIMIT * np.abs(value)
-        table = value, stop + 1, need * mag[stop, index], ok
+        table = value, stop + 1, policy.consecutive_small * mag[stop, index], ok
         retry = positive & ~ok
         if count < _ROW_TERMS and retry.any():
             for whole, part in zip(table, self.rows(*params[:, retry], _ROW_TERMS)):
@@ -531,6 +550,18 @@ def _lauricella_sum(alpha: float, beta: float, product: Callable,
                               count, (ratio * product(count))[start:])
 
     return sum_with_policy(_in_blocks(block), table.policy)
+
+
+def _lauricella_rows(alpha: np.ndarray, beta: np.ndarray, product: Callable,
+                     table: _InnerTable) -> Iterator:
+    """_lauricella_sum of each (alpha, beta) pair of arrays, by _row_sums of its first
+    BLOCK degrees; an unsettled inner row is NaN, so a degree sum reaching it is too."""
+    j = np.arange(BLOCK - 1.0)
+    ratio = _running(np.multiply, (alpha[:, None] + j) / ((alpha + beta)[:, None] + j))
+    value, ok = (np.array(part) for part in zip(*(
+        _ladder_rows(table.key, ((a, 1.0), (b, 0.0), (a + b, 1.0)), 0, BLOCK)
+        for a, b in zip(alpha.tolist(), beta.tolist()))))
+    return _row_sums(ratio * product(BLOCK) * np.where(ok, value, np.nan), table.policy)
 
 
 @functools.lru_cache(maxsize=_SIDES)
@@ -678,6 +709,8 @@ class HumbertGen(_Generator):
     coefficient is coefficient(n), because (b)_n (b+n)_m = (b)_{m+n}.
     coefficient(n) t^n is the running product of (a+n-1) t / ((b+n-1) n)
     times the 1F1 value, so it overflows only where its value does.  The
+    1F1 values are summed a block of n at a time (series._pfq_rows) and kept
+    by the generator; a row the block cannot settle goes to hyper_pfq.  The
     node form sums c_n R^n (tau/R)^n by Horner's rule, with R = max|tau|
     and c_n R^n from the same running product, in as many terms as the
     shared series policy takes for the majorant sum_n |c_n| R^n.
@@ -689,15 +722,19 @@ class HumbertGen(_Generator):
         self.a = a
         self.b = b
         self.x = x
-        self._f11: list[complex] = []  # 1F1(a; b+n; x)
+        self._f11: list = []  # the 1F1(a; b+n; x) results drawn so far from _rows
+        self._rows = _in_blocks(lambda start, count: _pfq_rows(
+            [a], [b + np.arange(start, count, 1.0)], x, SeriesPolicy()), ROWS)
 
     def scaled_coefficients(self, t: complex) -> Iterator[complex]:
         f11 = self._f11
         c = 1.0
         for n in itertools.count():
             if len(f11) == n:
-                f11.append(hyper_pfq([self.a], [self.b + n], self.x).value)
-            yield c * f11[n]
+                f11.append(next(self._rows))
+            if f11[n] is None:  # a row the block leaves to the scalar engine
+                f11[n] = hyper_pfq([self.a], [self.b + n], self.x)
+            yield c * f11[n].value
             c = c * (self.a + n) * t / ((self.b + n) * (n + 1.0))
 
     def coefficient(self, n: int) -> complex:
@@ -753,9 +790,9 @@ def generating_integral_closed_form(gen, r: float, s: float, delta: float, omega
     factors that integral is the inner Wright row (a_n, b_n, a_n + b_n),
     tabulated a block of n at a time; with factors (a_i, x_i) it is the
     n-variable closed form at (a_n, b_n), whose binomial product is built
-    once and shared by every n.  terms_used and tail_estimate cover the sum
-    over n only; each inner sum stops by the policy itself, and its own
-    truncation error is left out.
+    once and shared by every n, summed a block of n at a time too.
+    terms_used and tail_estimate cover the sum over n only; each inner sum
+    stops by the policy itself, and its own truncation error is left out.
     """
     return generating_case("generating", gen, r, s, delta, omega, lam, p, t,
                            product_factors).closed_form(policy)
@@ -831,8 +868,9 @@ def generating_case(name, gen, r, s, delta, omega, lam, p, t, factors=()) -> Ide
         table = _inner_table(lam, spec.p, policy)
         if factors:
             product = _binomial_product(*zip(*factors))
-            inner = (_lauricella_sum(r + delta * n, s - r + omega * n, product, table).value
-                     for n in itertools.count())
+            inner = _row_values(lambda n: (r + delta * n, s - r + omega * n),
+                                lambda a, b: _lauricella_rows(a, b, product, table),
+                                lambda a, b: _lauricella_sum(a, b, product, table))
         else:
             inner = _in_blocks(functools.partial(
                 _ladder_values, table, ((r, delta), (s - r, omega), (s, delta + omega))))
@@ -873,13 +911,16 @@ def _case_4_2(reduced, p, /, alpha, beta, alpha1, alpha2, x1, lam):
         if not reduced:
             return _scaled(spec.family.closed(spec, pol), scale)
         # Same single sum with the inner value routed through the
-        # quarter-argument 2F2 reduction instead of the Wright engine.
+        # quarter-argument 2F2 reduction instead of the Wright engine, a block
+        # of 2F2 rows at a time.
         coefficients = _coefficients(np.multiply, lambda m: (
             (alpha + m) * (combined + m) * x1 / ((alpha + beta + m) * (m + 1.0))))
-        terms = (scale * c * hyper_pfq(
-            [alpha + m, beta], [0.5 * (alpha + beta + m), 0.5 * (alpha + beta + m + 1.0)],
-            p / 4.0, pol).value for m, c in enumerate(coefficients))
-        return sum_with_policy(terms, pol)
+        inner = _row_values(
+            lambda m: ([alpha + m, beta], [0.5 * (alpha + beta + m),
+                                           0.5 * (alpha + beta + m + 1.0)]),
+            lambda num, den: _pfq_rows(num, den, p / 4.0, pol),
+            lambda num, den: hyper_pfq(num, den, p / 4.0, pol))
+        return sum_with_policy((scale * c * value for c, value in zip(coefficients, inner)), pol)
 
     return euler_case("ex4.2-2f2" if reduced else "ex4.2", spec, closed, lambda: scale)
 

@@ -6,7 +6,10 @@ and a cancellation check; identical inputs consume identical term counts.
 Wright terms are assembled in log space from signed log-gamma products.
 pFq terms, and the coefficients of every multiple series and outer sum,
 are running products of one-step ratios, built a block of indices at a
-time (_coefficients, from _running, _product and _poch_power).
+time (_coefficients, from _running, _product and _poch_power).  The inner
+sums of a nested series are summed a block of rows at a time by the same
+rule applied to arrays (_row_sums, _pfq_rows, _row_values), bit for bit
+the scalar sums; a row the block cannot settle goes to the scalar engine.
 """
 
 from __future__ import annotations
@@ -183,8 +186,60 @@ def sum_with_policy(terms: Iterator[complex], policy: SeriesPolicy | None = None
     raise MaxTermsError(f"stopping rule unmet after {k + 1} terms")
 
 
-# Coefficients built per block at first, doubled per block after.
-BLOCK = 48
+# Coefficients built per block at first, doubled per block after; the rows of
+# a nested inner sum, ROWS per block at first.
+BLOCK, ROWS = 48, 24
+
+
+def _stop_window(mag: np.ndarray, modulus: np.ndarray, policy: SeriesPolicy) -> tuple:
+    """In each row of (rows, terms) arrays of |t| and |partial|, the first k that ends
+    consecutive_small terms with |t| <= rel_tol |partial| + abs_tol, and whether it exists."""
+    need = policy.consecutive_small
+    small = np.cumsum(mag <= policy.rel_tol * modulus + policy.abs_tol, axis=1)
+    small[:, need:] -= small[:, :-need]  # small terms among the last `need`
+    stop = (small >= need).argmax(axis=1)
+    return stop, small[np.arange(len(stop)), stop] >= need
+
+
+def _row_sums(terms: np.ndarray, policy: SeriesPolicy, width: int = BLOCK // 2) -> Iterator:
+    """sum_with_policy of each row of a block of at most BLOCK terms (its divergence guard
+    never applies) up to the term budget: row by row, the SeriesResult bit for bit, or
+    None where that rule raises or needs a later term.  |t| and |partial| of complex terms
+    are np.hypot, as abs of a complex is; the sums along a row are sequential, and its value
+    is the fsum of its accepted terms, formed when the row is drawn.  Rows that do not stop
+    within width terms are summed again over the whole block."""
+    block = terms[:, :min(width, policy.max_terms)]
+    imaginary = block.dtype.kind == "c"
+    with np.errstate(over="ignore", invalid="ignore"):
+        mag, partial = (np.hypot(x.real, x.imag) if imaginary else np.abs(x)
+                        for x in (block, np.cumsum(block, axis=1)))
+        abs_sum = np.cumsum(mag, axis=1)
+    stop, found = _stop_window(mag, partial, policy)
+    # a non-finite partial sum up to the stop raises there; so does a non-finite term,
+    # which leaves sum |t| non-finite
+    found &= np.logical_and.accumulate(np.isfinite(partial), axis=1)[np.arange(len(stop)), stop]
+    retry = _row_sums(terms[~found], policy, BLOCK) if block.shape[1] < min(
+        terms.shape[1], policy.max_terms) else iter(())
+    for i, k in enumerate(stop.tolist()):
+        if not found[i]:
+            yield next(retry, None)
+            continue
+        try:  # fsum and abs raise OverflowError past the double range, as there
+            value = complex(math.fsum(block[i, :k + 1].real.tolist()),
+                            math.fsum(block[i, :k + 1].imag.tolist()) if imaginary else 0.0)
+            ok = abs_sum[i, k] <= CANCELLATION_LIMIT * abs(value)
+        except OverflowError:
+            ok = False
+        yield SeriesResult(value, k + 1, mag.item(i, k) * policy.consecutive_small) if ok else None
+
+
+def _row_values(params: Callable, rows: Callable, scalar: Callable) -> Iterator[complex]:
+    """scalar(*params(n)).value for n = 0, 1, ..., a block of n at a time: rows(*params(n))
+    gives the _row_sums of an array n, and a row left unsettled goes to scalar when
+    reached, so that route raises every error where it does alone."""
+    blocks = _in_blocks(lambda start, count: rows(*params(np.arange(start, count, 1.0))), ROWS)
+    for n, row in enumerate(blocks):
+        yield (row or scalar(*params(n))).value
 
 
 def _poch_power(x: complex, params: Sequence[float], count: int) -> np.ndarray:
@@ -208,19 +263,22 @@ def _product(streams: Sequence[np.ndarray], count: int) -> np.ndarray:
 
 
 def _running(op: np.ufunc, steps: np.ndarray) -> np.ndarray:
-    """1, 1 op s_0, (1 op s_0) op s_1, ...: a one-step *= or /= update, in order."""
-    return op.accumulate(np.concatenate(([1.0], steps)))
+    """1, 1 op s_0, (1 op s_0) op s_1, ...: a one-step *= or /= update, in order,
+    along each row of 2-d steps."""
+    if steps.ndim == 1:
+        return op.accumulate(np.concatenate(([1.0], steps)))
+    return op.accumulate(np.concatenate((np.ones((len(steps), 1)), steps), axis=1), axis=1)
 
 
-def _in_blocks(block: Callable[[int, int], list]) -> Iterator:
-    """The items of block(start, count) for count = BLOCK, 2 BLOCK, 4 BLOCK, ...
+def _in_blocks(block: Callable[[int, int], list], first: int = BLOCK) -> Iterator:
+    """The items of block(start, count) for count = first, 2 first, 4 first, ...
 
-    block(start, count) returns the list of items start .. count - 1 with
-    its numpy work done.  Items past the stopping degree are built but never
-    used, so overflow and invalid values in that work stay silent; a used
-    non-finite term is caught by sum_with_policy.
+    block(start, count) returns the items start .. count - 1 (a list, or the
+    rows of _row_sums) with its numpy work done.  Items past the stopping
+    degree are built but never used, so overflow and invalid values in that
+    work stay silent; a used non-finite term is caught by sum_with_policy.
     """
-    start, count = 0, BLOCK
+    start, count = 0, first
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
             items = block(start, count)
@@ -334,25 +392,37 @@ def hyper_pfq(num: Sequence[float], den: Sequence[float], z: complex,
     for b in den:
         if _is_nonpositive_integer(b):
             raise PoleError(f"denominator parameter {b!r} is a nonpositive integer")
+    return sum_with_policy(_coefficients(np.multiply, lambda k: _pfq_ratio(num, den, z, k)),
+                           policy)
 
-    def step(k):  # t_{k+1} / t_k, one combined ratio so no partial product can overflow
-        r = z / (k + 1.0)
-        for a in num:
-            r = r * (a + k)
-        for b in den:
-            r = r / (b + k)
-        return r
 
-    return sum_with_policy(_coefficients(np.multiply, step), policy)
+def _pfq_ratio(num, den, z, k):
+    """t_{k+1} / t_k, one combined ratio so no partial product can overflow."""
+    r = z / (k + 1.0)
+    for a in num:
+        r = r * (a + k)
+    for b in den:
+        r = r / (b + k)
+    return r
+
+
+def _pfq_rows(num: Sequence, den: Sequence, z: complex, policy: SeriesPolicy) -> Iterator:
+    """hyper_pfq of parameter rows, each parameter a scalar or a (rows,) array: the
+    _row_sums of the same steps, None also for a row with a pole (hyper_pfq's PoleError)."""
+    num, den = ([np.reshape(x, (-1, 1)) for x in params] for params in (num, den))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        terms = _running(np.multiply, _pfq_ratio(num, den, z, np.arange(BLOCK - 1.0)))
+    pole = sum((b <= 0.0) & (b == np.floor(b)) for b in den)
+    return _row_sums(np.where(pole, np.nan, terms), policy)
 
 
 def mittag_leffler(lam: float, z: complex, policy: SeriesPolicy | None = None) -> SeriesResult:
     """Mittag-Leffler sum_n z^n / Gamma(lam*n + 1), the Wright series ((1, 1); (1, lam)).
 
-    lam >= 0; lam = 0 reduces to the geometric series, so |z| < 1 is required there.
+    lam >= 0 and finite; lam = 0 reduces to the geometric series, so |z| < 1 is required there.
     """
-    if not lam >= 0.0:
-        raise DomainError(f"mittag_leffler weight must be >= 0, got {lam!r}")
+    if not 0.0 <= lam < math.inf:
+        raise DomainError(f"mittag_leffler weight must be finite and >= 0, got {lam!r}")
     if lam == 0.0 and abs(z) >= 1.0:
         raise DomainError(f"mittag_leffler(0, z) needs |z| < 1, got |z| = {abs(z)!r}")
     return wright_psi(WrightSpec(((1.0, 1.0),), ((1.0, lam),)), z, policy)

@@ -103,13 +103,35 @@ NAN_WEIGHT = [
      "lam=1", "p=0.6", "t=0.3"],
 ]
 
+# A non-finite field of the family is refused by name.  x1=nan and alpha1=inf
+# exited 3 on their first term, nu=inf and v=inf printed value=0.0 with exit 0,
+# and delta=inf, like an infinite Mittag-Leffler weight, exited 1 on a
+# float-to-integer conversion.
+NON_FINITE_FIELD = [
+    (["mittag_leffler", "lam=inf", "z=1"], "mittag_leffler weight must be finite"),
+    (["theorem1", "alpha=1.2", "beta=0.8", "alpha1=0.5", "alpha2=0.9", "x1=nan", "x2=-0.25",
+      "lam=1", "p=0.5"], "x1 must be finite"),
+    (["theorem1", "alpha=1.2", "beta=0.8", "alpha1=inf", "alpha2=0.9", "x1=0.3", "x2=-0.25",
+      "lam=1", "p=0.5"], "alpha1 must be finite"),
+    (["theorem4", "alpha=1", "beta=1", "a=0", "b=1", "nu=inf", "mu=0", "lam=1", "p=0.5"],
+     "nu must be finite"),
+    (["integral_direct", "family=t4", "alpha=1", "beta=1", "a=0", "b=1", "nu=inf", "mu=0",
+      "lam=1", "p=0.5"], "nu must be finite"),
+    (["theorem3", "alpha=0.9", "beta=1.3", "gamma=-0.7", "a=0", "b=1", "u=-0.4", "v=inf",
+      "lam=1", "p=0.5"], "v must be finite"),
+    (["generating", "gen=gegenbauer", "a=0.35", "r=1.5", "s=3", "delta=inf", "omega=1",
+      "lam=1", "p=0.6", "t=0.3"], "delta must be finite"),
+]
+
 
 @pytest.mark.parametrize(
     "args, code, message",
     [(a, 3, "convergence error: term 1 is non-finite\n") for a in NAN_ARGUMENT]
     + [(a, 2, "domain error: p must be finite") for a in NAN_P]
-    + [(a, 2, "domain error: ") for a in NAN_WEIGHT],
-    ids=[" ".join(a) for a in NAN_ARGUMENT + NAN_P + NAN_WEIGHT])
+    + [(a, 2, "domain error: ") for a in NAN_WEIGHT]
+    + [(a, 2, f"domain error: {m}") for a, m in NON_FINITE_FIELD],
+    ids=[" ".join(a) for a in NAN_ARGUMENT + NAN_P + NAN_WEIGHT]
+    + [" ".join(a) for a, _ in NON_FINITE_FIELD])
 def test_nan_is_refused(args, code, message, capsys):
     got, out, err = run_eval(args, capsys)
     assert (got, out) == (code, "")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -23,6 +24,8 @@ from wrightlab import (
 )
 from wrightlab import identities
 from wrightlab.cli import main
+from wrightlab.errors import CancellationError
+from wrightlab.series import _pfq_rows
 
 TIGHT = QuadraturePolicy(target_abs_tol=1e-13)
 
@@ -250,3 +253,77 @@ def test_parameter_gates():
         generating_integral_closed_form(BinomialGen(0.7), 0.8, 2.1, 0.0, 0.0, 1.0, 0.0, 0.1)
     with pytest.raises(DomainError):
         generating_integral_closed_form(BinomialGen(0.7), 0.8, 2.1, 1.0, 1.0, 1.0, 0.0, 1.2)
+
+
+# ---------------------------------------------------------------------------
+# Nested inner sums, a block of rows at a time
+# ---------------------------------------------------------------------------
+
+
+def scalar_only(monkeypatch, rows):
+    """Leave every row of the identities helper `rows` to the scalar route."""
+    monkeypatch.setattr(identities, rows, lambda *args: itertools.repeat(None))
+
+
+def case_4_2_2f2(p):
+    return identities.application_case("4.2-2f2", p, alpha=1.0, beta=1.4, alpha1=0.3,
+                                       alpha2=0.4, x1=0.25)
+
+
+HUMBERT_AT_30 = (1.1, 2.3, 1.0, 1.0, 1.0, 0.5, 0.3)
+
+
+def test_humbert_rows_past_the_block_take_the_scalar_route(monkeypatch):
+    # at x = 30 every 1F1(a; b+n; x) row takes 63-83 terms, past the block
+    assert all(row is None for row in _pfq_rows([0.8], [1.7 + np.arange(16.0)], 30.0,
+                                                SeriesPolicy()))
+    gen = HumbertGen(0.8, 1.7, 30.0)
+    value = generating_integral_closed_form(gen, *HUMBERT_AT_30).value
+    assert value == 321687255346.16327  # the value of the term-by-term route
+    assert {row.terms_used for row in gen._f11} <= set(range(63, 84))
+    assert gen._f11 == [hyper_pfq([0.8], [1.7 + n], 30.0) for n in range(len(gen._f11))]
+    scalar_only(monkeypatch, "_pfq_rows")
+    again = generating_integral_closed_form(HumbertGen(0.8, 1.7, 30.0), *HUMBERT_AT_30)
+    assert again.value == value
+
+
+def test_humbert_rows_are_the_scalar_1f1_values(monkeypatch):
+    gen = HumbertGen(0.8, 1.7, 0.6)
+    coefficients = list(itertools.islice(gen.scaled_coefficients(0.3), 40))
+    assert all(row.terms_used <= 24 for row in gen._f11)  # settled within the block
+    scalar_only(monkeypatch, "_pfq_rows")
+    scalar = HumbertGen(0.8, 1.7, 0.6).scaled_coefficients(0.3)
+    assert coefficients == list(itertools.islice(scalar, 40))
+
+
+@pytest.mark.parametrize("p", [0.0, 0.8, -0.8, 1.5, 0.5 + 0.5j, -1.2j, 48.0, 60.0])
+def test_2f2_rows_match_the_scalar_route(p, monkeypatch):
+    # at p = 48 the first 17 rows need more than the block, at p = 60 every row
+    closed = case_4_2_2f2(p).closed_form()
+    scalar_only(monkeypatch, "_pfq_rows")
+    assert repr(case_4_2_2f2(p).closed_form()) == repr(closed)
+
+
+@pytest.mark.parametrize("p", [-60.0, 100j])
+def test_2f2_rows_raise_the_errors_of_the_scalar_route(p, monkeypatch):
+    with pytest.raises(CancellationError) as rows:
+        case_4_2_2f2(p).closed_form()
+    scalar_only(monkeypatch, "_pfq_rows")
+    with pytest.raises(CancellationError) as scalar:
+        case_4_2_2f2(p).closed_form()
+    assert str(rows.value) == str(scalar.value)
+
+
+THEOREM6 = [  # (lam, p, t): the default points, complex p and t, and lam = 0 near its gate,
+    # where inner rows go to the scalar Wright engine
+    (1.0, 0.0, 0.25), (1.0, 0.6, 0.25), (2.0, 0.3 + 0.3j, 0.2 - 0.1j), (0.0, 3.9, 0.25),
+    (0.0, -3.9, 0.5),
+]
+
+
+@pytest.mark.parametrize("lam, p, t", THEOREM6)
+def test_theorem6_rows_match_the_scalar_route(lam, p, t, monkeypatch):
+    args = (BinomialGen(0.5), 0.8, 2.1, 1.0, 1.0, lam, p, t, ((0.4, 0.3), (0.7, -0.2)))
+    closed = generating_integral_closed_form(*args)
+    scalar_only(monkeypatch, "_lauricella_rows")
+    assert repr(generating_integral_closed_form(*args)) == repr(closed)

@@ -392,6 +392,30 @@ def test_non_finite_parameters_are_refused_by_name(route, name, value):
         route(spec)
 
 
+NON_FINITE_FAMILY_FIELDS = [  # (spec, the field refused)
+    (t1_spec(1.2, 0.8, 0.5, 0.9, math.nan, -0.25, 1.0, 0.5), "x1"),
+    (t2_spec(1.2, 0.8, 0.5, -math.inf, 0.3, -0.25, 1.0, 0.5), "alpha2"),
+    (t3_spec(**{**_T3_POINT, "u": math.inf}), "u"),
+    (t4_spec(1.0, 1.0, 0.0, 1.0, 0.0, math.nan, 1.0, 0.5), "mu"),
+    (tn_spec(0.6, 1.4, (0.3, 0.5), (0.2, math.inf), 1.0, 0.5), "xs"),
+    (generating_spec(BinomialGen(0.5), 0.8, 2.1, 1.0, math.inf, 1.0, 0.6, 0.25), "omega"),
+    (generating_spec(BinomialGen(0.5), 0.8, 2.1, 1.0, 1.0, 1.0, 0.6, complex(0.25, math.nan)),
+     "t"),
+    (generating_spec(BinomialGen(0.5), 0.8, 2.1, 1.0, 1.0, 1.0, 0.6, 0.25,
+                     ((0.4, 0.3), (math.inf, -0.2))), "factors"),
+]
+
+
+@pytest.mark.parametrize("spec, name", NON_FINITE_FAMILY_FIELDS,
+                         ids=[name for _, name in NON_FINITE_FAMILY_FIELDS])
+def test_non_finite_family_fields_are_refused_by_name(spec, name):
+    # every numeric field of the family, tuples included, by one check of the spec
+    with pytest.raises(DomainError, match=f"^{name} must be finite, got "):
+        spec.validate()
+    with pytest.raises(DomainError, match=f"^{name} must be finite, got "):
+        evaluate_integral_direct(spec)
+
+
 def test_theorem1_refuses_an_infinite_lam():
     with pytest.raises(DomainError, match="^lam must be finite, got inf$"):
         closed_form_theorem1(1.2, 0.8, 0.5, 0.9, 0.3, -0.25, math.inf, 0.5)

@@ -4,6 +4,7 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,8 +23,18 @@ from wrightlab import (
     wright_psi,
     wright_psi_normalized,
 )
+from wrightlab.errors import WrightLabError
 from wrightlab.scalars import log_gamma_signed, pochhammer
-from wrightlab.series import CANCELLATION_LIMIT, _Phase, sum_with_policy
+from wrightlab.series import (
+    BLOCK,
+    CANCELLATION_LIMIT,
+    SeriesResult,
+    _pfq_rows,
+    _Phase,
+    _row_sums,
+    _row_values,
+    sum_with_policy,
+)
 
 
 def rel(a, b):
@@ -370,3 +381,128 @@ def test_sum_is_the_exactly_rounded_sum_of_the_accepted_terms(complex_terms):
         assert result.value == exact
         plain_missed += sum(accepted) != exact
     assert plain_missed > 0
+
+
+# ---------------------------------------------------------------------------
+# The stopping rule on blocks of rows
+# ---------------------------------------------------------------------------
+
+
+class PastTheBlock(Exception):
+    pass
+
+
+def scalar_row(row, policy):
+    """sum_with_policy of a row's terms, or the error it raises (PastTheBlock where it
+    draws past the row)."""
+    def terms():
+        yield from row.tolist()
+        raise PastTheBlock
+
+    try:
+        return sum_with_policy(terms(), policy)
+    except (WrightLabError, OverflowError, PastTheBlock) as exc:
+        return exc
+
+
+def term_block(seed, dtype):
+    """Seeded rows of BLOCK terms: jittered geometric streams with random phases
+    and ratios that stop them early, near the end of the block or not at all
+    (up to the edge of the disc and past it), rows that cancel, that vanish,
+    that overflow, and that hold inf or nan before or after their stop."""
+    rng = np.random.default_rng(seed)
+    count = 80
+    ratio = rng.choice([0.05, 0.2, 0.3, 0.4, 0.45, 0.48, 0.5, 0.52, 0.9, 0.999, 1.0, 1.01],
+                       size=(count, 1))
+    if dtype is complex:
+        ratio = ratio * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(count, 1)))
+    else:
+        ratio = ratio * rng.choice([-1.0, 1.0], size=(count, 1))
+    block = (10.0 ** rng.uniform(-3.0, 3.0, size=(count, 1))) * ratio ** np.arange(BLOCK)
+    block *= rng.uniform(0.2, 1.0, size=block.shape)
+    block = block.astype(dtype)
+    block[0, :] = 0.0  # stops at term 2 with value 0
+    block[1, :4] = [1.0, -1.0 + 1e-7, 0.0, 0.0]  # stops at term 4, cancelled past the limit
+    block[1, 4:] = 0.0
+    block[2, :3] = [1.0, -1.0 + 1e-4, 0.0]  # cancels below the limit
+    block[2, 3:] = 0.0
+    block[3, :2] = [1.5e308, 1.5e308]  # partial sum overflows
+    block[4, 0] = 1e308 * 1e308  # a non-finite first term
+    for row in range(5, 15):  # inf or nan somewhere in a quickly stopping row
+        block[row] = 0.5 ** np.arange(BLOCK) * (0.1 if row % 2 else 1.0)
+        block[row, rng.integers(0, BLOCK)] = np.nan if row % 3 else np.inf
+    if dtype is complex:
+        block[15, :2] = [complex(1.5e308, 1.5e308), 0.0]  # modulus overflows, parts finite
+        block[16, :3] = [1.5e308, 1.5e308j, -1.5e308]  # |partial| overflows at term 1 only
+        block[16, 3:] = 0.0
+    return block
+
+
+POLICIES = [SeriesPolicy(), SeriesPolicy(consecutive_small=1), SeriesPolicy(consecutive_small=5),
+            SeriesPolicy(rel_tol=1e-8), SeriesPolicy(max_terms=10), SeriesPolicy(max_terms=2),
+            SeriesPolicy(abs_tol=1e-3)]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("policy", POLICIES, ids=repr)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_row_sums_are_the_scalar_rule_bit_for_bit(seed, policy, dtype):
+    block = term_block(seed, dtype)
+    rows = list(_row_sums(block, policy))
+    assert len(rows) == len(block)
+    for row, got in zip(block, rows):
+        want = scalar_row(row, policy)
+        # None exactly where the scalar rule raises or needs more than the block
+        assert repr(got) == repr(None if isinstance(want, Exception) else want)
+
+
+def test_the_blocks_meet_every_outcome_of_the_scalar_rule():
+    outcomes = {type(scalar_row(row, SeriesPolicy())).__name__
+                for seed in (1, 2, 3) for row in term_block(seed, complex)}
+    assert outcomes == {"SeriesResult", "CancellationError", "DivergenceError", "PastTheBlock"}
+
+
+PFQ_ROWS = [  # (numerator, denominator) parameter rows, as for the 2F2 and 1F1 rows
+    lambda m: ([1.0 + m, 1.4], [0.5 * (2.4 + m), 0.5 * (2.4 + m + 1.0)]),
+    lambda m: ([0.8], [1.7 + m]),
+    lambda m: ([-2.0 + 0.0 * m, 0.7 - 0.3 * m], [2.0 - m]),  # terminating; poles from m = 2
+    lambda m: ([0.5 + m], [-0.5 - 0.25 * m]),  # a pole at m = 2
+]
+
+
+@pytest.mark.parametrize("z", [0.6, -3.5, 0.3 + 0.4j, -2.0j, 30.0, (0.5 + 0.5j) / 4.0])
+@pytest.mark.parametrize("params", PFQ_ROWS)
+def test_pfq_rows_are_hyper_pfq_bit_for_bit(params, z):
+    policy = SeriesPolicy()
+    m = np.arange(20.0)
+    rows = list(_pfq_rows(*params(m), z, policy))
+    for n, got in enumerate(rows):
+        num, den = ([float(np.broadcast_to(x, m.shape)[n]) for x in part] for part in params(m))
+        try:
+            want = hyper_pfq(num, den, z, policy)
+        except WrightLabError:
+            assert got is None
+            continue
+        if got is None:
+            assert want.terms_used > BLOCK
+        else:
+            assert repr(got) == repr(want)
+
+
+def test_an_unsettled_row_past_the_outer_stop_is_never_summed():
+    summed = []
+
+    def rows(n):  # rows from 5 on are left to the scalar route
+        return [SeriesResult(1.0, 1, 0.0) if m < 5 else None for m in n.tolist()]
+
+    def scalar(n):
+        summed.append(n)
+        raise DivergenceError(f"row {n} summed")
+
+    # the outer terms 1, 1, 0, 0, 0 stop at the fifth, which reads row 4
+    outer = (value * (n < 2) for n, value in enumerate(_row_values(lambda n: (n,), rows, scalar)))
+    result = sum_with_policy(outer, SeriesPolicy())
+    assert (result.value, result.terms_used, summed) == (2.0, 5, [])
+    # a sum that does reach row 5 raises its error there
+    with pytest.raises(DivergenceError, match="^row 5 summed$"):
+        sum_with_policy(_row_values(lambda n: (n,), rows, scalar), SeriesPolicy())
