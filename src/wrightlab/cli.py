@@ -53,12 +53,17 @@ _KEY_ALIASES = {
 
 
 def _parse_value(text: str):
+    spelled = text
+    while True:  # where JSON stops at a bare inf or nan (in a list, say), spell it as JSON does
+        try:
+            return json.loads(spelled)
+        except json.JSONDecodeError as exc:
+            word = next((w for w in ("-inf", "inf", "nan") if spelled.startswith(w, exc.pos)), "")
+            if not word:
+                break
+            spelled = spelled[:exc.pos] + json.dumps(float(word)) + spelled[exc.pos + len(word):]
     try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        pass
-    try:
-        return float(text)  # inf and nan, before i reads as j
+        return float(text)  # other spellings of inf and nan, before i reads as j
     except ValueError:
         pass
     try:

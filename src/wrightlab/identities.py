@@ -22,9 +22,9 @@ in the orientation t or 1 - t that Pfaff's map gives the smaller max |x_i|
 where neither shrinks it): a block of degrees at a time, the outer
 coefficients as arrays (the helpers of series) times one inner value per
 total degree.  The inner engine is a 3-by-2 Wright series with weight
-pattern (1,1,1; 2, lam), tabulated for a block of degrees at once in log
-space as a (terms, rows) array, to 24 terms and then to 48 for the rows
-that have not stopped (_InnerTable); rows the table cannot settle, and
+pattern (1,1,1; 2, lam), whose terms for a block of degrees are built at
+once in log space as a (terms, rows) array and stopped by the array step
+of series (_InnerTable, _settle); rows the table cannot settle, and
 T4's single value, go through the scalar engine.  The generating
 integrals sum inner rows or, with product factors, _lauricella_sum values
 over G's terms, a block of terms at a time (_lauricella_rows), as case
@@ -47,7 +47,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, EvaluationError
 from .multivar import appell_f3, gegenbauer
 from .quadrature import QuadraturePolicy, QuadratureResult, evaluate_integral_direct
 from .scalars import _is_nonpositive_integer, beta_fn
@@ -66,7 +66,7 @@ from .series import (
     _row_sums,
     _row_values,
     _running,
-    _stop_window,
+    _settle,
     hyper_pfq,
     sum_with_policy,
     wright_psi_normalized,
@@ -374,10 +374,6 @@ def generating_spec(gen, r, s, delta, omega, lam, p, t, factors=()) -> EulerInte
 # ---------------------------------------------------------------------------
 
 
-# Terms per row in the first and the second tabulation; _ROW_TERMS stays
-# below index 50, where the scalar engine's divergence guard starts.
-_FIRST_TERMS = 24
-_ROW_TERMS = 48
 # Cache bounds (_InnerTable, _pfaff); a pass of the theorem1 test grid has 12, 180, 41, 324 keys.
 _TABLES, _ROW_BLOCKS, _PRODUCTS, _KEPT, _SIDES = 32, 192, 48, 2 * BLOCK, 512
 
@@ -390,12 +386,11 @@ class _InnerTable:
     as a (terms, rows) array, so every cumulative sum along k runs down
     contiguous memory: the Pochhammer ratio is a cumulative sum of logs,
     and the column term k ln|p| - ln Gamma(1 + lam k) is computed once per
-    table.  Each row stops by the rule of sum_with_policy, within
-    _FIRST_TERMS terms or, tabulated once more, within _ROW_TERMS.  A row
-    with a nonpositive parameter, a non-finite partial sum, no stop or a
-    cancelled value is not settled: values() evaluates it by the scalar
-    engine when the caller reaches it, so that engine raises every pole,
-    divergence, term and cancellation error.
+    table.  Each row stops by _settle, the rule of sum_with_policy on
+    arrays, within BLOCK terms.  A row with a nonpositive parameter, a
+    non-finite partial sum, no stop or a cancelled value is not settled:
+    values() evaluates it by the scalar engine when the caller reaches it,
+    so that engine raises every pole, divergence, term and cancellation error.
 
     Reused from lru caches filled on demand, arrays read-only: a table by
     its key (lam, p, policy), at most _TABLES; a block's value and settled
@@ -407,57 +402,45 @@ class _InnerTable:
     def __init__(self, lam: float, p: complex, policy: SeriesPolicy):
         self.key = lam, p, policy
         self.lam, self.p, self.policy = self.key
-        terms = min(_ROW_TERMS, policy.max_terms)
-        self._j = np.arange(terms - 1.0)
-        self._column = np.array([-math.lgamma(1.0 + lam * k) for k in range(terms)])
+        self._column = np.array([-math.lgamma(1.0 + lam * k) for k in range(BLOCK)])
         radius = abs(p)
         unit = p / radius if radius != 0.0 else 0.0j
         if unit.imag == 0.0:
             unit = unit.real  # a real table costs about half a complex one
         # unit^k by repeated products, as the scalar engine forms it
-        self._phase = np.ones(terms, dtype=type(unit))
+        self._phase = np.ones(BLOCK, dtype=type(unit))
         if radius != 0.0:
-            self._column += np.arange(terms) * math.log(radius)
-            self._phase[1:] = np.cumprod(np.full(terms - 1, unit))
+            self._column += np.arange(BLOCK) * math.log(radius)
+            self._phase[1:] = np.cumprod(np.full(BLOCK - 1, unit))
         else:
             self._column[1:] = -math.inf
-        for array in self._j, self._column, self._phase:
+        for array in self._column, self._phase:
             array.setflags(write=False)
 
-    def rows(self, a, b, c, count: int = _FIRST_TERMS) -> tuple:
+    def rows(self, a, b, c) -> tuple:
         """Value, terms used, tail estimate and settled flag of each row, as
         arrays (the first three hold where the row is settled), with a, b, c
-        broadcast to one length.  Rows not settled within count terms are
-        tabulated again to _ROW_TERMS."""
+        broadcast to one length: the _settle of its log-space terms."""
         params = np.array(np.broadcast_arrays(a, b, c), dtype=float)
         positive = (params > 0.0).all(axis=0)
-        sa, sb, sc = np.where(positive, params, 1.0)[:, None, :]
-        j = self._j[:count - 1, None]
-        log_term = np.zeros((len(j) + 1, len(positive)))
-        policy = self.policy
-        # Overflow and invalid values end as a non-finite partial sum, which
-        # leaves the row unsettled.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # ln((a)_k (b)_k / (c)_{2k}) as a cumulative sum of one log per step
-            np.cumsum(np.log((sa + j) * (sb + j) / ((sc + 2.0 * j) * (sc + (2.0 * j + 1.0)))),
-                      axis=0, out=log_term[1:])
-            log_term += self._column[:len(log_term), None]
-            term = np.exp(log_term) * self._phase[:len(log_term), None]
-            partial = np.cumsum(term, axis=0)
-            mag = np.abs(term)
-            abs_sum = np.cumsum(mag, axis=0)
-        stop, found = _stop_window(mag.T, np.abs(partial).T, policy)
-        index = np.arange(len(positive))
-        value = partial[stop, index].astype(complex)
-        # A non-finite term anywhere up to the stop leaves the partial sum non-finite.
-        ok = positive & found & np.isfinite(value)
-        ok &= abs_sum[stop, index] <= CANCELLATION_LIMIT * np.abs(value)
-        table = value, stop + 1, policy.consecutive_small * mag[stop, index], ok
-        retry = positive & ~ok
-        if count < _ROW_TERMS and retry.any():
-            for whole, part in zip(table, self.rows(*params[:, retry], _ROW_TERMS)):
-                whole[retry] = part
-        return table
+        safe = np.where(positive, params, 1.0)[:, None, :]
+
+        def block(rows, count):
+            sa, sb, sc = safe[..., rows]
+            j = np.arange(count - 1.0)[:, None]
+            log_term = np.zeros((count, sa.shape[1]))
+            # overflow and invalid values leave a non-finite partial sum, and the row unsettled
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                # ln((a)_k (b)_k / (c)_{2k}) as a cumulative sum of one log per step
+                np.cumsum(np.log((sa + j) * (sb + j) / ((sc + 2.0 * j) * (sc + (2.0 * j + 1.0)))),
+                          axis=0, out=log_term[1:])
+                log_term += self._column[:count, None]
+                return np.exp(log_term) * self._phase[:count, None]
+
+        value, stop, mag, abs_sum, ok = _settle(block, self.policy)
+        value = value.astype(complex)
+        ok &= positive & (abs_sum <= CANCELLATION_LIMIT * np.abs(value))
+        return value, stop + 1, self.policy.consecutive_small * mag, ok
 
     def values(self, a, b, c, weight: np.ndarray | None = None,
                rows: tuple = ()) -> Iterable[complex]:
@@ -527,9 +510,12 @@ def _binomial_product(alphas: Sequence[float], xs: Sequence[float]) -> Callable:
 
 
 def _scaled(result: SeriesResult, factor) -> SeriesResult:
-    """result times a constant factor, its tail estimate scaled by |factor|."""
-    return SeriesResult(factor * result.value, result.terms_used,
-                        abs(factor) * result.tail_estimate)
+    """result times a constant factor, its tail estimate scaled by |factor|; a value
+    or tail that this leaves non-finite raises EvaluationError."""
+    value, tail = factor * result.value, abs(factor) * result.tail_estimate
+    if not (_finite(value) and math.isfinite(tail)):
+        raise EvaluationError(f"closed form scaled by {factor!r} is {value!r}, tail {tail!r}")
+    return SeriesResult(value, result.terms_used, tail)
 
 
 def _lauricella_sum(alpha: float, beta: float, product: Callable,
@@ -771,10 +757,14 @@ class CustomGen(_Generator):
 
 
 def factor_pairs(alphas: Sequence[float], xs: Sequence[float]) -> tuple:
-    """The (a_i, x_i) pairs of prod_i (1 - x_i u)^(-a_i); the lists must match."""
+    """The (a_i, x_i) pairs of prod_i (1 - x_i u)^(-a_i); the lists must match and
+    be finite, each refused by its own name."""
     if len(alphas) != len(xs):
         raise DomainError(f"product factors need as many alphas as xs, got "
                           f"{len(alphas)} and {len(xs)}")
+    for name, values in ("alphas", alphas), ("xs", xs):
+        if not _finite(tuple(values)):
+            raise DomainError(f"{name} must be finite, got {values!r}")
     return tuple(zip(alphas, xs))
 
 

@@ -6,10 +6,11 @@ and a cancellation check; identical inputs consume identical term counts.
 Wright terms are assembled in log space from signed log-gamma products.
 pFq terms, and the coefficients of every multiple series and outer sum,
 are running products of one-step ratios, built a block of indices at a
-time (_coefficients, from _running, _product and _poch_power).  The inner
-sums of a nested series are summed a block of rows at a time by the same
-rule applied to arrays (_row_sums, _pfq_rows, _row_values), bit for bit
-the scalar sums; a row the block cannot settle goes to the scalar engine.
+time (_coefficients, from _running, _product and _poch_power).  A block of
+rows, the inner sums of a nested series, stops by one array step of the
+same rule (_settle), for the inner Wright table of identities and for
+_row_sums (_pfq_rows, _row_values), whose values are the scalar sums bit
+for bit; a row the block cannot settle goes to the scalar engine.
 """
 
 from __future__ import annotations
@@ -191,46 +192,49 @@ def sum_with_policy(terms: Iterator[complex], policy: SeriesPolicy | None = None
 BLOCK, ROWS = 48, 24
 
 
-def _stop_window(mag: np.ndarray, modulus: np.ndarray, policy: SeriesPolicy) -> tuple:
-    """In each row of (rows, terms) arrays of |t| and |partial|, the first k that ends
-    consecutive_small terms with |t| <= rel_tol |partial| + abs_tol, and whether it exists."""
-    need = policy.consecutive_small
-    small = np.cumsum(mag <= policy.rel_tol * modulus + policy.abs_tol, axis=1)
-    small[:, need:] -= small[:, :-need]  # small terms among the last `need`
-    stop = (small >= need).argmax(axis=1)
-    return stop, small[np.arange(len(stop)), stop] >= need
-
-
-def _row_sums(terms: np.ndarray, policy: SeriesPolicy, width: int = BLOCK // 2) -> Iterator:
-    """sum_with_policy of each row of a block of at most BLOCK terms (its divergence guard
-    never applies) up to the term budget: row by row, the SeriesResult bit for bit, or
-    None where that rule raises or needs a later term.  |t| and |partial| of complex terms
-    are np.hypot, as abs of a complex is; the sums along a row are sequential, and its value
-    is the fsum of its accepted terms, formed when the row is drawn.  Rows that do not stop
-    within width terms are summed again over the whole block."""
-    block = terms[:, :min(width, policy.max_terms)]
-    imaginary = block.dtype.kind == "c"
+def _settle(block: Callable, policy: SeriesPolicy, rows=slice(None), count: int = ROWS) -> tuple:
+    """sum_with_policy's stop in each row of block(rows, count), the first count terms of
+    the rows picked (index array or slice) as a (terms, rows) array: to ROWS terms, then to
+    BLOCK (below index 50, where the divergence guard starts) for rows not stopped, within
+    the term budget.  Per row: the plain partial sum, the stop k, |t_k| and sum |t| to k
+    (non-finite after a non-finite term), and whether it stopped with every partial sum to k
+    finite.  |t| and |partial| of complex terms are np.hypot, as abs() is; sums are sequential."""
+    terms = block(rows, min(count, policy.max_terms))
     with np.errstate(over="ignore", invalid="ignore"):
-        mag, partial = (np.hypot(x.real, x.imag) if imaginary else np.abs(x)
-                        for x in (block, np.cumsum(block, axis=1)))
-        abs_sum = np.cumsum(mag, axis=1)
-    stop, found = _stop_window(mag, partial, policy)
-    # a non-finite partial sum up to the stop raises there; so does a non-finite term,
-    # which leaves sum |t| non-finite
-    found &= np.logical_and.accumulate(np.isfinite(partial), axis=1)[np.arange(len(stop)), stop]
-    retry = _row_sums(terms[~found], policy, BLOCK) if block.shape[1] < min(
-        terms.shape[1], policy.max_terms) else iter(())
-    for i, k in enumerate(stop.tolist()):
-        if not found[i]:
-            yield next(retry, None)
-            continue
-        try:  # fsum and abs raise OverflowError past the double range, as there
-            value = complex(math.fsum(block[i, :k + 1].real.tolist()),
-                            math.fsum(block[i, :k + 1].imag.tolist()) if imaginary else 0.0)
-            ok = abs_sum[i, k] <= CANCELLATION_LIMIT * abs(value)
-        except OverflowError:
-            ok = False
-        yield SeriesResult(value, k + 1, mag.item(i, k) * policy.consecutive_small) if ok else None
+        partial = np.cumsum(terms, axis=0)
+        mag, modulus = (np.hypot(x.real, x.imag) if x.dtype.kind == "c" else np.abs(x)
+                        for x in (terms, partial))
+        small = mag <= policy.rel_tol * modulus + policy.abs_tol
+        run = small.copy()  # run[k]: the need terms up to k are all small
+        run[:policy.consecutive_small - 1] = False
+        for shift in range(1, policy.consecutive_small):
+            run[shift:] &= small[:-shift]
+        stop = run.argmax(axis=0)
+        index = np.arange(len(stop))
+        found = run[stop, index]
+        out = (partial[stop, index], stop, mag[stop, index], np.cumsum(mag, axis=0)[stop, index],
+               found & np.logical_and.accumulate(np.isfinite(modulus), axis=0)[stop, index])
+    if count < min(BLOCK, policy.max_terms) and not found.all():
+        retry = np.flatnonzero(~found)
+        for whole, part in zip(out, _settle(block, policy, retry, BLOCK)):
+            whole[retry] = part
+    return out
+
+
+def _row_sums(terms: np.ndarray, policy: SeriesPolicy) -> Iterator:
+    """sum_with_policy of each row of a (rows, terms) block, by _settle: row by row,
+    the SeriesResult bit for bit, or None where that rule raises or needs a later term.
+    A row's value is the fsum of its accepted terms, formed when the row is drawn."""
+    _, stop, mag, abs_sum, settled = _settle(lambda rows, count: terms[rows, :count].T, policy)
+    for row, k, tail, total, ok in zip(terms, *(x.tolist() for x in (stop, mag, abs_sum, settled))):
+        if ok:
+            try:  # fsum and abs raise OverflowError past the double range, as there
+                value = complex(math.fsum(row[:k + 1].real.tolist()), math.fsum(
+                    row[:k + 1].imag.tolist()) if terms.dtype.kind == "c" else 0.0)
+                ok = total <= CANCELLATION_LIMIT * abs(value)
+            except OverflowError:
+                ok = False
+        yield SeriesResult(value, k + 1, tail * policy.consecutive_small) if ok else None
 
 
 def _row_values(params: Callable, rows: Callable, scalar: Callable) -> Iterator[complex]:

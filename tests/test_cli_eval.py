@@ -150,6 +150,9 @@ NON_FINITE = [
     (["theorem1", *T1_POINT, "lam=1", "p=-inf"], "p must be finite, got (-inf+0j)"),
     (["theorem4", "alpha=Infinity", "beta=1", "a=0", "b=1", "nu=0", "mu=0", "lam=1", "p=0.5"],
      "alpha must be finite, got inf"),
+    # a bare inf inside a list was read as the string '[0.4,inf]', 9 alphas long
+    (["generating", "a=0.5", "alphas=[0.4,inf]", "xs=[0.3,-0.2]", "r=0.8", "s=2.1", "delta=1",
+      "omega=1", "lam=1", "p=0.6", "t=0.25"], "alphas must be finite, got [0.4, inf]"),
 ]
 
 
@@ -162,3 +165,16 @@ def test_value_spellings():
     assert _parse_value("inf") == math.inf and _parse_value("-Infinity") == -math.inf
     assert math.isnan(_parse_value("nan")) and isinstance(_parse_value("nan"), float)
     assert _parse_value("1+2i") == complex(1, 2) and _parse_value("t1") == "t1"
+    inner = _parse_value("[[0.4,-inf],[nan,Infinity]]")
+    assert inner[0] == [0.4, -math.inf] and math.isnan(inner[1][0]) and inner[1][1] == math.inf
+    assert _parse_value("{inf: 1}") == "{inf: 1}" and _parse_value("[0.4,infinite]") == \
+        "[0.4,infinite]"
+
+
+def test_an_infinite_closed_form_is_an_error(capsys):
+    # b - a = 5e-324 makes T4's prefactor inf; this printed value=inf+infj with exit 0
+    args = ["theorem4", "alpha=1.2", "beta=0.8", "a=0", "b=5e-324", "nu=0.5", "mu=1.5", "lam=2",
+            "p=[0.5,0.5]"]
+    code, out, err = run_eval(args, capsys)
+    assert (code, out) == (3, "")
+    assert err == "convergence error: closed form scaled by inf is (inf+infj), tail inf\n"

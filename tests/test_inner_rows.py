@@ -15,6 +15,7 @@ from wrightlab import (
     MaxTermsError,
     PoleError,
     SeriesPolicy,
+    WrightLabError,
     WrightSpec,
     closed_form_theorem1,
     wright_psi,
@@ -22,7 +23,9 @@ from wrightlab import (
 )
 from wrightlab.identities import _binomial_product, _InnerTable, _lauricella_sum
 from wrightlab.scalars import beta_fn, log_gamma_signed
-from wrightlab.series import _in_blocks
+from wrightlab.series import BLOCK, _in_blocks
+
+from test_series import POLICIES
 
 LAMBDAS = (0.0, 0.5, 1.0, 2.3)
 
@@ -74,6 +77,30 @@ def test_rows_match_scalar_engine(lam, kind, raw):
                 assert scale * tail[i] == pytest.approx(ref.tail_estimate, rel=1e-12,
                                                         abs=1e-300)
 
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("policy", POLICIES, ids=repr)
+def test_rows_settle_where_the_scalar_engine_stops(policy, kind):
+    # Under every policy of the stopping-rule tests, a term budget below
+    # consecutive_small among them, a row is settled exactly where the scalar
+    # engine stops within BLOCK terms, after as many terms.  The larger p make
+    # rows that stop after 25 to 48 terms, and past 48.
+    rng = random.Random(f"{policy}/{kind}")
+    for lam, scale in [(0.0, 1.0)] + [(lam, s) for lam in LAMBDAS[1:] for s in (1.0, 4.0, 10.0)]:
+        p = scale * draw_p(rng, kind, lam)
+        a = [rng.uniform(0.3, 20.0) for _ in range(12)]
+        b = [rng.uniform(0.3, 3.0) for _ in range(12)]
+        c = [x + y for x, y in zip(a, b)]
+        value, terms, _, ok = _InnerTable(lam, p, policy).rows(a, b, c)
+        for i, row in enumerate(zip(a, b, c)):
+            try:
+                ref = scalar_row(*row, lam, p, policy=policy)
+            except WrightLabError:
+                ref = None
+            assert ok[i] == (ref is not None and ref.terms_used <= BLOCK), (row, lam, p)
+            if ok[i]:
+                assert terms[i] == ref.terms_used
+                assert rel(value[i], ref.value) <= 1e-13
 
 @pytest.mark.parametrize("p", [0.8, -0.8, 0.5 + 0.5j, 0.0])
 def test_ladder_crosses_block_boundaries(p):
@@ -129,7 +156,7 @@ def test_row_lost_to_cancellation_raises_when_reached(monkeypatch):
     # without the limit the table itself would have accepted the row
     monkeypatch.setattr(wrightlab.identities, "CANCELLATION_LIMIT", math.inf)
     _, terms, _, ok = _InnerTable(2.0, -800.0, SeriesPolicy()).rows([1.0], [1.0], [2.0])
-    assert ok.all() and terms[0] < wrightlab.identities._ROW_TERMS
+    assert ok.all() and terms[0] < BLOCK
 
 
 def test_term_budget_still_caps_every_row(monkeypatch):
