@@ -78,8 +78,10 @@ def _parse_kv(args: list[str]) -> dict:
         if "=" not in item:
             raise DomainError(f"expected key=value, got {item!r}")
         key, _, value = item.partition("=")
-        key = _KEY_ALIASES.get(key.strip(), key.strip())
-        out[key] = _parse_value(value.strip())
+        key, value = _KEY_ALIASES.get(key.strip(), key.strip()), value.strip()
+        out[key] = _parse_value(value)
+        if value.startswith("[") and not isinstance(out[key], list):
+            raise DomainError(f"{key} must be a list of numbers, got {value!r}")
     return out
 
 

@@ -24,13 +24,14 @@ coefficients as arrays (the helpers of series) times one inner value per
 total degree.  The inner engine is a 3-by-2 Wright series with weight
 pattern (1,1,1; 2, lam), whose terms for a block of degrees are built at
 once in log space as a (terms, rows) array and stopped by the array step
-of series (_InnerTable, _settle); rows the table cannot settle, and
-T4's single value, go through the scalar engine.  The generating
-integrals sum inner rows or, with product factors, _lauricella_sum values
-over G's terms, a block of terms at a time (_lauricella_rows), as case
-4.2's 2F2 reduction sums its 2F2 values.  A sweep over the weights
-(alpha_i, x_i) reuses the tables, the settled rows of the first two
-blocks and their binomial products (_InnerTable).
+of series (_InnerTable, _settle); rows the table cannot settle go through
+the scalar engine, and T4's single value sums a stream of its own
+(_t4_terms), one log-gamma per term.  The generating integrals sum inner
+rows or, with product factors, _lauricella_sum values over G's terms, a
+block of terms at a time (_lauricella_rows), as case 4.2's 2F2 reduction
+sums its 2F2 values.  A sweep over the weights (alpha_i, x_i) reuses the
+tables, the settled rows of the first two blocks and their binomial
+products (_InnerTable).
 
 On a general interval the linear-weight family (T3) picks up the factors
 (b-a)^(alpha+beta-1) and (a*u+v)^gamma, and the series argument becomes
@@ -58,6 +59,7 @@ from .series import (
     SeriesPolicy,
     SeriesResult,
     WrightSpec,
+    _Phase,
     _coefficients,
     _in_blocks,
     _pfq_rows,
@@ -227,10 +229,17 @@ class T4Family(_Family):
 
     def closed(self, spec, policy):
         alpha, beta, nu1, mu1 = spec.alpha, spec.beta, self.nu + 1.0, self.mu + 1.0
-        inner = wright_psi_normalized(WrightSpec(((alpha, 1.0), (beta, 1.0), (1.0, 1.0)),
-                                                 ((alpha + beta, 2.0), (1.0, spec.lam))),
-                                      spec.p / (nu1 * mu1), policy)
+        inner = sum_with_policy(_t4_terms(alpha, beta, spec.lam, spec.p / (nu1 * mu1)), policy)
         return _scaled(inner, nu1 ** (-alpha) * mu1 ** (-beta) / (spec.b - spec.a))
+
+
+def _t4_terms(a: float, b: float, lam: float, z: complex) -> Iterator[complex]:
+    """T4's inner terms (a)_k (b)_k z^k / ((a+b)_{2k} Gamma(1 + lam k)), the log of the Pochhammer
+    part a running sum of logs of its one-step ratio; validate makes a, b > 0: no pole or sign."""
+    phase, log_poch, c = _Phase(z), 0.0, a + b
+    for k in itertools.count():
+        yield phase.term(k, log_poch - math.lgamma(1.0 + lam * k), 1)
+        log_poch += math.log((a + k) / (c + 2.0 * k) * ((b + k) / (c + 2.0 * k + 1.0)))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ the per-index range.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -88,6 +89,8 @@ def gegenbauer(n: int, a: float, x: float) -> float:
     """Ultraspherical polynomial C_n^(a)(x) by the three-term recurrence."""
     if n < 0:
         raise ValueError("gegenbauer degree must be a nonnegative integer")
+    if not (math.isfinite(a) and math.isfinite(x)):
+        raise DomainError(f"gegenbauer needs finite a and x, got ({a!r}, {x!r})")
     if n == 0:
         return 1.0
     c_prev = 1.0

@@ -123,9 +123,9 @@ def _sample(f, a: float, b: float, levels, center: int = 0) -> tuple:
     near = (b - a) * sigma
     far = (b - a) - near
     x = np.where(side, a + near, b - near)
-    values = np.asarray(f(x, np.where(side, near, far), np.where(side, far, near)), dtype=complex)
-    fa, fb = values[ia], values[ib]
-    with np.errstate(invalid="ignore"):  # a non-finite node raises once its level is reached
+    with np.errstate(all="ignore"):  # a non-finite node raises once its level is reached
+        values = np.asarray(f(x, np.where(side, near, far), np.where(side, far, near)), complex)
+        fa, fb = values[ia], values[ib]
         weighted = wbase * (fa + fb)
         absolute = np.abs(fa) + np.abs(fb)
     return x, values, bool(np.isfinite(values).all()), weighted, absolute, wbase, spans

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import PoleError
+from .errors import DomainError, PoleError
 
 __all__ = [
     "log_gamma",
@@ -66,7 +66,7 @@ def gamma_fn(x: float) -> float:
 
 
 def pochhammer(a: float, n: int) -> float:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1); (a)_0 = 1 for any a.
+    """Rising factorial (a)_n = a (a+1) ... (a+n-1); (a)_0 = 1 for any finite a.
 
     Defined for every real a, including nonpositive integers (the product
     simply contains a zero factor).  Use log_pochhammer_signed when the
@@ -74,6 +74,8 @@ def pochhammer(a: float, n: int) -> float:
     """
     if n < 0:
         raise ValueError("pochhammer order must be a nonnegative integer")
+    if not math.isfinite(a):
+        raise DomainError(f"pochhammer needs a finite a, got {a!r}")
     result = 1.0
     for k in range(n):
         result *= a + k
@@ -114,6 +116,8 @@ def beta_fn(x: float, y: float) -> float:
     x + y landing on a nonpositive integer (with x, y themselves off the
     poles) puts the pole in the denominator, so the ratio is zero.
     """
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"beta needs finite arguments, got ({x!r}, {y!r})")
     if _is_nonpositive_integer(x) or _is_nonpositive_integer(y):
         raise PoleError(f"beta pole at ({x!r}, {y!r})")
     if _is_nonpositive_integer(x + y):

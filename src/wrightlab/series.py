@@ -306,7 +306,8 @@ def _coefficients(op: np.ufunc, step: Callable[[np.ndarray], np.ndarray],
 
 
 class _Phase:
-    """z^k split as exp(k ln|z|) times a unit phase updated multiplicatively."""
+    """z^k split as exp(k ln|z|) times a unit phase updated multiplicatively, for
+    the terms k = 0, 1, 2, ... of one series, in turn."""
 
     __slots__ = ("log_r", "unit", "current")
 
@@ -321,16 +322,12 @@ class _Phase:
             return sign * math.exp(log_mag)
         if self.log_r is None:
             return 0.0 + 0.0j
+        self.current *= self.unit  # unit^k
         try:
             mag = math.exp(log_mag + k * self.log_r)
         except OverflowError:
             mag = math.inf
-        value = sign * mag * self.current
-        return value
-
-    def advance(self):
-        if self.log_r is not None:
-            self.current *= self.unit
+        return sign * mag * self.current
 
 
 def _wright_terms(spec: WrightSpec, z: complex, normalized: bool) -> Iterator[complex]:
@@ -364,7 +361,6 @@ def _wright_terms(spec: WrightSpec, z: complex, normalized: bool) -> Iterator[co
         if normalized:
             log_mag += shift
         yield phase.term(k, log_mag, sign)
-        phase.advance()
 
 
 def wright_psi(spec: WrightSpec, z: complex, policy: SeriesPolicy | None = None) -> SeriesResult:

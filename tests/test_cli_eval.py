@@ -178,3 +178,47 @@ def test_an_infinite_closed_form_is_an_error(capsys):
     code, out, err = run_eval(args, capsys)
     assert (code, out) == (3, "")
     assert err == "convergence error: closed form scaled by inf is (inf+infj), tail inf\n"
+
+
+def test_the_oracle_reports_a_non_finite_node_in_one_line(capsys):
+    # the same collapsed interval on the oracle printed four numpy RuntimeWarnings
+    # (an error under this suite's warning filter) before its one line
+    args = ["integral_direct", "family=t4", "alpha=1.2", "beta=0.8", "a=0", "b=5e-324",
+            "nu=0.5", "mu=1.5", "lam=2", "p=[0.5,0.5]"]
+    assert run_eval(args, capsys) == (3, "", "convergence error: integrand non-finite at x=0.0\n")
+
+
+# each printed value=nan or -inf with exit 0
+NON_FINITE_SCALAR = [
+    (["gegenbauer", "n=2", "a=nan", "x=0.3"], "gegenbauer needs finite a and x, got (nan, 0.3)"),
+    (["gegenbauer", "n=0", "a=0.5", "x=-inf"], "gegenbauer needs finite a and x, got (0.5, -inf)"),
+    (["beta", "x=inf", "y=1"], "beta needs finite arguments, got (inf, 1.0)"),
+    (["beta", "x=1", "y=nan"], "beta needs finite arguments, got (1.0, nan)"),
+    (["pochhammer", "a=nan", "n=3"], "pochhammer needs a finite a, got nan"),
+    (["pochhammer", "a=-inf", "n=0"], "pochhammer needs a finite a, got -inf"),
+]
+
+
+@pytest.mark.parametrize("args, message", NON_FINITE_SCALAR,
+                         ids=[" ".join(a) for a, _ in NON_FINITE_SCALAR])
+def test_scalars_refuse_a_non_finite_argument(args, message, capsys):
+    assert run_eval(args, capsys) == (2, "", f"domain error: {message}\n")
+
+
+# a list item that is neither a number nor inf or nan left the whole list a string,
+# whose characters the factor count then counted ("got 14 and 2")
+BAD_LISTS = [
+    (["generating", "a=0.5", "alphas=[0.4,infinity]", "xs=[0.3,-0.2]", "r=0.8", "s=2.1",
+      "delta=1", "omega=1", "lam=1", "p=0.6", "t=0.25"],
+     "alphas must be a list of numbers, got '[0.4,infinity]'"),
+    (["generating", "a=0.5", "alphas=[0.4,0.7]", "xs=[0.3,Inf]", "r=0.8", "s=2.1",
+      "delta=1", "omega=1", "lam=1", "p=0.6", "t=0.25"],
+     "xs must be a list of numbers, got '[0.3,Inf]'"),
+    (["theorem4", "alpha=1", "beta=1", "a=0", "b=1", "nu=0", "mu=0", "lam=1", "p=[0.5,1+2i]"],
+     "p must be a list of numbers, got '[0.5,1+2i]'"),
+]
+
+
+@pytest.mark.parametrize("args, message", BAD_LISTS, ids=[" ".join(a) for a, _ in BAD_LISTS])
+def test_a_list_that_does_not_parse_is_refused_by_name(args, message, capsys):
+    assert run_eval(args, capsys) == (2, "", f"domain error: {message}\n")

@@ -209,6 +209,18 @@ class TestTheorem4:
         value = closed_form_theorem4(alpha, alpha, 0.0, 1.0, nu, mu, 1.0, p).value
         assert rel(value, expected) <= 1e-10
 
+    @pytest.mark.parametrize("alpha, reference", [
+        (200.0, "1.132795391497358903255574"),
+        (400.0, "1.13297166094259635684754"),
+        (600.0, "1.133030533429994247557379"),
+        (2000.0, "1.133113052686318278711231"),
+    ])
+    def test_large_equal_exponents(self, alpha, reference):
+        # 50-digit sums at nu = mu = 0, lam = 1, p = 0.5 on (0, 1), where terms formed
+        # from differences of log-gammas near ln Gamma(2 alpha) lose 1e-14 to 1e-12
+        value = closed_form_theorem4(alpha, alpha, 0.0, 1.0, 0.0, 0.0, 1.0, 0.5).value
+        assert rel(value, float(reference)) <= 5e-16
+
     def test_against_oracle_complex_p(self):
         p = 0.7 - 0.9j
         series = closed_form_theorem4(0.7, 1.9, -1.0, 3.0, -0.5, 2.0, 2.0, p).value
